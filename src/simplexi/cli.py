@@ -255,7 +255,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         est = select_vertices(A, Y, Z, cfg)
         t_select = time.perf_counter() - t0
-    except LearnerError as exc:
+    except RuntimeError as exc:  # LearnerError, or subspace_power failing to restore rank
         print(f"learn: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
 
@@ -477,7 +477,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     trials = int(_resolve(args, "smoothing-trials", config, 1000))
     try:
         inst = load_instance(inst_dir)
-    except (FileNotFoundError, KeyError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"eval: cannot load instance: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .sketch import default_power_iters, mixed_lra, subspace_power
 from .sparsemat import SparseColMatrix, column_subset_mean
-from .subspace import orthonormalize, project_out
+from .subspace import Basis, extend_basis, project_out
 
 __all__ = [
     "LearnerConfig",
@@ -92,6 +92,17 @@ class VertexEstimates:
         return self.vertices.shape[1]
 
 
+def _smallest(key: np.ndarray, s: int) -> np.ndarray:
+    """Indices of the s smallest keys, ties toward the lower index, in
+    (key, index) order: ``np.lexsort((arange(n), key))[:s]`` in O(n + s log s)."""
+    cut = np.partition(key, s - 1)[s - 1]
+    near = np.flatnonzero(key <= cut)  # one scan finds every key below the cut and every tie
+    near_key = key[near]
+    below = near[near_key < cut]
+    chosen = np.concatenate((below, near[near_key == cut][: s - below.size]))
+    return chosen[np.lexsort((chosen, key[chosen]))]
+
+
 def select_indices(u: np.ndarray, s: int, mode: str = "two_sided") -> np.ndarray:
     """Indices of the s most extreme coordinates of u, sorted ascending.
 
@@ -99,19 +110,22 @@ def select_indices(u: np.ndarray, s: int, mode: str = "two_sided") -> np.ndarray
     and the s smallest coordinates are formed separately and the side
     with the larger |sum| wins, so one set never mixes signs.  Ties are
     broken toward the lower index; the result is scale-invariant under
-    u -> c u for any c > 0.
+    u -> c u for any c > 0.  Each side is one partition around its s-th
+    key, so a call costs O(n + s log s).  Raises ``ValueError`` if u has
+    a non-finite entry.
     """
     u = np.asarray(u, dtype=np.float64).ravel()
     n = u.size
     if not 1 <= s <= n:
         raise ValueError(f"subset size s={s} out of range for n={n}")
-    idx = np.arange(n)
+    if not np.isfinite(u).all():
+        raise ValueError("scores must be finite")
     if mode == "abs":
-        order = np.lexsort((idx, -np.abs(u)))
-        return np.sort(order[:s])
+        return np.sort(_smallest(-np.abs(u), s))
     if mode == "two_sided":
-        top = np.lexsort((idx, -u))[:s]
-        bottom = np.lexsort((idx, u))[:s]
+        top = _smallest(-u, s)
+        bottom = _smallest(u, s)
+        # both sums add in (key, index) order, as a full stable sort would
         if abs(u[top].sum()) >= abs(u[bottom].sum()):
             return np.sort(top)
         return np.sort(bottom)
@@ -156,11 +170,10 @@ def select_vertices(
     vertices: list[np.ndarray] = []
     index_sets: list[np.ndarray] = []
     directions: list[np.ndarray] = []
+    U_t = Basis(np.zeros((d, 0)))  # orthonormal basis of the vertices found so far
     for t in range(cfg.k):
         if vertices:
-            U_t = orthonormalize(vertices)
-        else:
-            U_t = orthonormalize([np.zeros(d)])  # empty basis
+            U_t = extend_basis(U_t, vertices[-1])
         h_prime = None
         for _ in range(_REDRAW_LIMIT):
             g = rng.standard_normal(kf)

@@ -515,6 +515,11 @@ def save_instance(inst: SimplexInstance, directory: str) -> None:
 
 
 def load_instance(directory: str) -> SimplexInstance:
+    """Read an instance directory written by ``save_instance``.
+
+    Raises ``ValueError`` if a file is malformed or ``meta.txt`` lacks a
+    required key.
+    """
     with open(os.path.join(directory, "A.txt")) as f:
         A = load_matrix_snapshot(f)
     with open(os.path.join(directory, "M.txt")) as f:
@@ -527,13 +532,17 @@ def load_instance(directory: str) -> SimplexInstance:
         with open(wpath) as f:
             W = load_dense_block(f)[1]
     meta: dict[str, str] = {}
-    with open(os.path.join(directory, "meta.txt")) as f:
+    meta_path = os.path.join(directory, "meta.txt")
+    with open(meta_path) as f:
         for line in f:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, _, val = line.partition("=")
             meta[key] = val
+    missing = [key for key in ("sigma", "delta", "model_tag", "seed") if key not in meta]
+    if missing:
+        raise ValueError(f"{meta_path} lacks {', '.join(missing)}")
     params = {
         key[len("param."):]: float(val)
         for key, val in meta.items()

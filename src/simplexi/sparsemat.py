@@ -124,11 +124,18 @@ def build_csc(triplets: Sequence[Triplet], d: int, n: int) -> SparseColMatrix:
 
 
 def from_scipy(m) -> SparseColMatrix:
-    """Canonicalize any scipy sparse matrix into a ``SparseColMatrix``."""
+    """Canonicalize any scipy sparse matrix into a ``SparseColMatrix``.
+
+    Raises ``ValueError`` naming the first non-finite entry, as ``build_csc`` does.
+    """
     m = sp.csc_array(m)
     m.sum_duplicates()
     m.eliminate_zeros()
     m.sort_indices()
+    if not np.all(np.isfinite(m.data)):
+        i = int(np.flatnonzero(~np.isfinite(m.data))[0])
+        col = int(np.searchsorted(m.indptr, i, side="right") - 1)
+        raise ValueError(f"entry ({m.indices[i]}, {col}) has non-finite value {m.data[i]}")
     return SparseColMatrix(
         m.shape[0],
         m.shape[1],
@@ -167,15 +174,16 @@ def column_subset_mean(A: SparseColMatrix, S: np.ndarray) -> np.ndarray:
         raise ValueError(f"column index out of range for n={A.cols}")
     counts = A.col_ptr[S + 1] - A.col_ptr[S]
     total = int(counts.sum())
-    acc = np.zeros(A.rows, dtype=np.float64)
-    if total:
-        # Entry ranges of the selected columns, gathered without a python loop.
-        offsets = np.repeat(A.col_ptr[S], counts)
-        within = np.arange(total) - np.repeat(
-            np.concatenate(([0], np.cumsum(counts)[:-1])), counts
-        )
-        entry = offsets + within
-        np.add.at(acc, A.row_idx[entry], A.values[entry])
+    if total == 0:
+        return np.zeros(A.rows, dtype=np.float64)
+    # Entry ranges of the selected columns, gathered without a python loop.
+    offsets = np.repeat(A.col_ptr[S], counts)
+    within = np.arange(total) - np.repeat(
+        np.concatenate(([0], np.cumsum(counts)[:-1])), counts
+    )
+    entry = offsets + within
+    # bincount adds each row's entries in entry order, like np.add.at would
+    acc = np.bincount(A.row_idx[entry], weights=A.values[entry], minlength=A.rows)
     acc /= S.size
     return acc
 

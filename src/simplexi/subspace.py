@@ -12,7 +12,14 @@ from typing import Sequence, Union
 
 import numpy as np
 
-__all__ = ["Basis", "orthonormalize", "sin_theta", "proj_distance", "project_out"]
+__all__ = [
+    "Basis",
+    "orthonormalize",
+    "extend_basis",
+    "sin_theta",
+    "proj_distance",
+    "project_out",
+]
 
 
 @dataclass(frozen=True)
@@ -43,6 +50,23 @@ def _empty_basis(d: int) -> Basis:
     return Basis(np.zeros((d, 0), dtype=np.float64))
 
 
+def _unit_residual(v: np.ndarray, cols: list[np.ndarray], tol: float) -> np.ndarray | None:
+    """One Gram-Schmidt step: v minus its components along the orthonormal
+    ``cols`` (two passes), normalized; None when v is zero or its residual
+    norm is at most ``tol`` times its own norm."""
+    vn = np.linalg.norm(v)
+    if vn == 0.0:
+        return None
+    r = v.copy()
+    for _ in range(2):  # re-orthogonalize once for numerical safety
+        for q in cols:
+            r -= q * (q @ r)
+    rn = np.linalg.norm(r)
+    if rn <= tol * vn:
+        return None
+    return r / rn
+
+
 def orthonormalize(
     vectors: Union[np.ndarray, Sequence[np.ndarray]], tol: float = 1e-10
 ) -> Basis:
@@ -64,20 +88,32 @@ def orthonormalize(
     for v in vecs:
         if v.shape[0] != d:
             raise ValueError("all vectors must have the same length")
-        vn = np.linalg.norm(v)
-        if vn == 0.0:
-            continue
-        r = v.copy()
-        for _ in range(2):  # re-orthogonalize once for numerical safety
-            for q in cols:
-                r -= q * (q @ r)
-        rn = np.linalg.norm(r)
-        if rn <= tol * vn:
-            continue
-        cols.append(r / rn)
+        q = _unit_residual(v, cols, tol)
+        if q is not None:
+            cols.append(q)
     if not cols:
         return _empty_basis(d)
     return Basis(np.column_stack(cols))
+
+
+def extend_basis(U: Basis, v: np.ndarray, tol: float = 1e-10) -> Basis:
+    """``orthonormalize`` of U's columns followed by v, in O(d * U.r).
+
+    If U came from ``orthonormalize(vectors)``, the result equals
+    ``orthonormalize(vectors + [v])`` bit for bit: the same Gram-Schmidt
+    step appends v's normalized residual, or U is returned unchanged when
+    v is zero or numerically in span(U).
+    """
+    v = np.asarray(v, dtype=np.float64).ravel()
+    if v.shape[0] != U.dim:
+        raise ValueError(f"vector length {v.shape[0]} != basis dimension {U.dim}")
+    # Contiguous copies, as orthonormalize holds them: a dot product over a
+    # strided column can round differently.
+    cols = [q.copy() for q in U.cols.T]
+    q = _unit_residual(v, cols, tol)
+    if q is None:
+        return U
+    return Basis(np.column_stack(cols + [q]))
 
 
 def _min_singular(F: Basis, G: Basis) -> float:

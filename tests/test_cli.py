@@ -125,6 +125,38 @@ class TestLearnAndEval:
         ])
         assert code == 2
 
+    def test_learn_missing_meta_key_is_usage_error(self, tmp_path, instance_dir, capsys):
+        meta = instance_dir / "meta.txt"
+        meta.write_text("".join(
+            line for line in meta.read_text().splitlines(keepends=True)
+            if not line.startswith("sigma=")
+        ))
+        code = main([
+            "learn", "--input", str(instance_dir), "--k", "3", "--delta", "0.1",
+            "--out", str(tmp_path / "z"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("learn: ") and "sigma" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_learn_power_iteration_failure_is_numerical_error(
+        self, tmp_path, instance_dir, capsys, monkeypatch
+    ):
+        import simplexi.learner as learner_mod
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("subspace power iteration could not restore full rank")
+
+        monkeypatch.setattr(learner_mod, "subspace_power", fail)
+        code = main([
+            "learn", "--input", str(instance_dir), "--k", "3", "--delta", "0.1",
+            "--baseline", "power_iteration", "--out", str(tmp_path / "z"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "learn: subspace power iteration could not restore full rank\n"
+
     def test_config_file_with_flag_override(self, tmp_path, instance_dir):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(

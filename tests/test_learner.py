@@ -1,7 +1,14 @@
 import io
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import simplexi.learner as learner_mod
 from simplexi.learner import (
@@ -55,6 +62,47 @@ class TestSelectIndices:
         base = select_indices(u, s, mode)
         for c in (0.5, 3.0, 1e6, 1e-6):
             np.testing.assert_array_equal(select_indices(c * u, s, mode), base)
+
+    @pytest.mark.parametrize("mode", ["abs", "two_sided"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, mode, bad):
+        u = np.array([1.0, bad, -2.0, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            select_indices(u, 2, mode)
+
+
+def reference_select(u: np.ndarray, s: int, mode: str) -> np.ndarray:
+    """select_indices by full stable sorts: the definition it must match."""
+    if mode == "abs":
+        return np.sort(np.argsort(-np.abs(u), kind="stable")[:s])
+    top = np.argsort(-u, kind="stable")[:s]
+    bottom = np.argsort(u, kind="stable")[:s]
+    if abs(u[top].sum()) >= abs(u[bottom].sum()):
+        return np.sort(top)
+    return np.sort(bottom)
+
+
+# Few distinct values, so most draws have ties at the cut; +0.0 and -0.0
+# compare equal and must tie too.
+TIED = st.sampled_from([-3.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0])
+SCORE = st.one_of(TIED, st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+
+
+class TestSelectIndicesProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(u=st.lists(SCORE, min_size=1, max_size=60), data=st.data())
+    @example(u=[0.0], data=None)
+    @example(u=[-0.0, 0.0, -0.0, 0.0], data=None)
+    @example(u=[2.0, -2.0, 2.0, -2.0, 1.0], data=None)
+    def test_matches_stable_sort_reference(self, u, data):
+        u = np.asarray(u, dtype=np.float64)
+        n = u.size
+        sizes = {1, n} if data is None else {1, n, data.draw(st.integers(1, n))}
+        for s in sorted(sizes):
+            for mode in ("abs", "two_sided"):
+                got = select_indices(u, s, mode)
+                np.testing.assert_array_equal(got, reference_select(u, s, mode))
+                assert got.dtype == np.int64
 
 
 class TestLearnerConfig:
@@ -159,6 +207,31 @@ class TestDeterminismAndConsistency:
         # each index set re-derives from its recorded direction
         for u, R in zip(est.directions, est.index_sets):
             np.testing.assert_array_equal(select_indices(u, R.size, "two_sided"), R)
+
+    def test_blas_thread_count_does_not_change_estimates(self):
+        script = textwrap.dedent("""
+            import hashlib
+            import numpy as np
+            from simplexi import LearnerConfig, gen_bernoulli, learn_simplex
+            A = gen_bernoulli(300, 3000, 0.05, 4)
+            est = learn_simplex(A, LearnerConfig(k=8, delta=0.01, seed=3))
+            h = hashlib.sha256()
+            for a in (est.vertices, est.directions, *est.index_sets):
+                h.update(np.ascontiguousarray(a).tobytes())
+            print(h.hexdigest())
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True,
+                text=True, timeout=120, check=True,
+            )
+            digests.append(out.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
 
 
 class TestIndexFreshness:

@@ -141,6 +141,21 @@ class TestColumnSubsetMean:
         expected = A.toarray() @ np.full(40, 1.0 / 40)
         np.testing.assert_allclose(column_subset_mean(A, np.arange(40)), expected, atol=1e-14)
 
+    def test_repeated_rows_match_add_at(self):
+        # every selected column hits rows 0 and 2, with values of mixed scale
+        # whose sum depends on the order they are added in
+        A = build_csc(
+            [(0, 0, 1e16), (2, 0, 0.1), (0, 1, 1.0), (1, 1, 0.3), (2, 1, 0.2),
+             (0, 3, -1e16), (2, 3, 0.7), (0, 4, 1.0), (2, 4, 1e-17)],
+            3, 5,
+        )
+        S = np.array([4, 0, 1, 3, 1])
+        acc = np.zeros(3)
+        for j in S:
+            lo, hi = A.col_ptr[j], A.col_ptr[j + 1]
+            np.add.at(acc, A.row_idx[lo:hi], A.values[lo:hi])
+        np.testing.assert_array_equal(column_subset_mean(A, S), acc / S.size)
+
     def test_errors(self):
         A = random_sparse(3, 4, 0.5, seed=4)
         with pytest.raises(ValueError):
@@ -258,3 +273,11 @@ class TestSnapshots:
         A = from_scipy(m)
         assert A.nnz == 1  # duplicate summed to zero and dropped
         assert A.values[0] == 2.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_from_scipy_rejects_non_finite(self, bad):
+        import scipy.sparse as sp
+
+        m = sp.coo_array(([1.0, bad], ([0, 1], [0, 2])), shape=(2, 3))
+        with pytest.raises(ValueError, match=r"entry \(1, 2\) has non-finite value"):
+            from_scipy(m)

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from simplexi.subspace import Basis, orthonormalize, proj_distance, project_out, sin_theta
+from simplexi.subspace import (
+    Basis,
+    extend_basis,
+    orthonormalize,
+    proj_distance,
+    project_out,
+    sin_theta,
+)
 
 
 def basis_from(cols) -> Basis:
@@ -39,6 +48,36 @@ class TestOrthonormalize:
         v2 = np.array([1.0, 1e-12])
         B = orthonormalize([v1, v2], tol=1e-10)
         assert B.r == 1
+
+
+class TestExtendBasis:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 40),
+        count=st.integers(1, 8),
+        dependent_at=st.integers(0, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_orthonormalize_bit_for_bit(self, d, count, dependent_at, seed):
+        rng = np.random.default_rng(seed)
+        vectors = [rng.standard_normal(d) * 10.0 ** rng.integers(-3, 4) for _ in range(count)]
+        # a combination of the vectors before it, or zero when there are none
+        at = min(dependent_at, count)
+        vectors.insert(at, sum((c * v for c, v in zip(rng.standard_normal(at), vectors[:at])),
+                               np.zeros(d)))
+        U = Basis(np.zeros((d, 0)))
+        for t, v in enumerate(vectors, start=1):
+            before = U.r
+            U = extend_basis(U, v)
+            full = orthonormalize(vectors[:t])
+            assert U.cols.shape == full.cols.shape
+            assert U.cols.tobytes() == full.cols.tobytes()
+            if t == at + 1:
+                assert U.r == before  # the dependent vector is dropped
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            extend_basis(orthonormalize([np.ones(3)]), np.ones(4))
 
 
 class TestSinTheta:
