@@ -37,6 +37,7 @@ from .sketch import (
     CountSketch,
     PowerIterationResult,
     RankKFactors,
+    RankRestoreError,
     SvdTriple,
     apply_countsketch,
     exact_topk_svd,

@@ -43,7 +43,7 @@ from .models import (
     load_instance,
     save_instance,
 )
-from .sketch import default_power_iters, mixed_lra, subspace_power
+from .sketch import RankRestoreError, default_power_iters, mixed_lra, subspace_power
 from .sparsemat import (
     load_matrix_snapshot,
     parse_edge_list,
@@ -255,7 +255,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         est = select_vertices(A, Y, Z, cfg)
         t_select = time.perf_counter() - t0
-    except RuntimeError as exc:  # LearnerError, or subspace_power failing to restore rank
+    except (LearnerError, RankRestoreError) as exc:
         print(f"learn: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
 

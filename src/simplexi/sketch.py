@@ -32,6 +32,7 @@ __all__ = [
     "RankKFactors",
     "SvdTriple",
     "PowerIterationResult",
+    "RankRestoreError",
     "make_countsketch",
     "apply_countsketch",
     "mixed_lra",
@@ -46,6 +47,10 @@ __all__ = [
 ]
 
 DENSE_ORACLE_LIMIT = 4000  # refuse the exact SVD when min(d, n) exceeds this
+
+
+class RankRestoreError(RuntimeError):
+    """Raised when subspace power iteration cannot redraw a full-rank basis."""
 
 
 @dataclass(frozen=True)
@@ -430,7 +435,7 @@ def subspace_power(
                 redraws += 1
                 tries += 1
                 if tries > 5:
-                    raise RuntimeError(
+                    raise RankRestoreError(
                         "subspace power iteration could not restore full rank"
                     )
         sv = np.linalg.svd(Q.T @ Qn, compute_uv=False)

@@ -46,6 +46,9 @@ class Basis:
         return self.cols @ (self.cols.T @ v)
 
 
+_DEPENDENCE_TOL = 1e-10  # relative residual norm at or below which a vector is dropped
+
+
 def _empty_basis(d: int) -> Basis:
     return Basis(np.zeros((d, 0), dtype=np.float64))
 
@@ -68,7 +71,7 @@ def _unit_residual(v: np.ndarray, cols: list[np.ndarray], tol: float) -> np.ndar
 
 
 def orthonormalize(
-    vectors: Union[np.ndarray, Sequence[np.ndarray]], tol: float = 1e-10
+    vectors: Union[np.ndarray, Sequence[np.ndarray]], tol: float = _DEPENDENCE_TOL
 ) -> Basis:
     """Orthonormal basis for the span of the given d-vectors.
 
@@ -96,13 +99,13 @@ def orthonormalize(
     return Basis(np.column_stack(cols))
 
 
-def extend_basis(U: Basis, v: np.ndarray, tol: float = 1e-10) -> Basis:
+def extend_basis(U: Basis, v: np.ndarray) -> Basis:
     """``orthonormalize`` of U's columns followed by v, in O(d * U.r).
 
-    If U came from ``orthonormalize(vectors)``, the result equals
-    ``orthonormalize(vectors + [v])`` bit for bit: the same Gram-Schmidt
-    step appends v's normalized residual, or U is returned unchanged when
-    v is zero or numerically in span(U).
+    If U came from ``orthonormalize(vectors)`` at its default ``tol``, the
+    result equals ``orthonormalize(vectors + [v])`` bit for bit: the same
+    Gram-Schmidt step appends v's normalized residual, or U is returned
+    unchanged when v is zero or numerically in span(U).
     """
     v = np.asarray(v, dtype=np.float64).ravel()
     if v.shape[0] != U.dim:
@@ -110,7 +113,7 @@ def extend_basis(U: Basis, v: np.ndarray, tol: float = 1e-10) -> Basis:
     # Contiguous copies, as orthonormalize holds them: a dot product over a
     # strided column can round differently.
     cols = [q.copy() for q in U.cols.T]
-    q = _unit_residual(v, cols, tol)
+    q = _unit_residual(v, cols, _DEPENDENCE_TOL)
     if q is None:
         return U
     return Basis(np.column_stack(cols + [q]))

@@ -144,9 +144,10 @@ class TestLearnAndEval:
         self, tmp_path, instance_dir, capsys, monkeypatch
     ):
         import simplexi.learner as learner_mod
+        from simplexi.sketch import RankRestoreError
 
         def fail(*args, **kwargs):
-            raise RuntimeError("subspace power iteration could not restore full rank")
+            raise RankRestoreError("subspace power iteration could not restore full rank")
 
         monkeypatch.setattr(learner_mod, "subspace_power", fail)
         code = main([
@@ -156,6 +157,19 @@ class TestLearnAndEval:
         assert code == 1
         err = capsys.readouterr().err
         assert err == "learn: subspace power iteration could not restore full rank\n"
+
+    def test_learn_other_runtime_error_propagates(self, tmp_path, instance_dir, monkeypatch):
+        import simplexi.learner as learner_mod
+
+        def broken(*args, **kwargs):
+            raise NotImplementedError("not a numerical failure")
+
+        monkeypatch.setattr(learner_mod, "subspace_power", broken)
+        with pytest.raises(NotImplementedError):
+            main([
+                "learn", "--input", str(instance_dir), "--k", "3", "--delta", "0.1",
+                "--baseline", "power_iteration", "--out", str(tmp_path / "z"),
+            ])
 
     def test_config_file_with_flag_override(self, tmp_path, instance_dir):
         cfg = tmp_path / "run.cfg"
