@@ -169,7 +169,7 @@ def select_vertices(
 
     vertices: list[np.ndarray] = []
     index_sets: list[np.ndarray] = []
-    directions: list[np.ndarray] = []
+    D = np.empty((cfg.k, n))  # row t holds round t's scores
     U_t = Basis(np.zeros((d, 0)))  # orthonormal basis of the vertices found so far
     for t in range(cfg.k):
         if vertices:
@@ -193,15 +193,13 @@ def select_vertices(
                 f"{len(vertices)} selected vertices after {_REDRAW_LIMIT} redraws"
             )
         h_prime = h_prime / np.linalg.norm(h_prime)
-        u = (h_prime @ Y) @ Z.T  # n-vector, O((n + d) k) per round
+        u = np.matmul(h_prime @ Y, Z.T, out=D[t])  # n-vector, O((n + d) k) per round
         R_t = select_indices(u, s, cfg.selection_mode)
         vertices.append(column_subset_mean(A, R_t))
         index_sets.append(R_t)
-        directions.append(u)
 
     V = np.column_stack(vertices) if vertices else np.zeros((d, 0))
-    D = np.vstack(directions) if directions else np.zeros((0, n))
-    return VertexEstimates(V, tuple(index_sets), D, rank_deficient)
+    return VertexEstimates(V, tuple(index_sets), D[: len(vertices)], rank_deficient)
 
 
 def learn_simplex(A: SparseColMatrix, cfg: LearnerConfig) -> VertexEstimates:

@@ -1,31 +1,26 @@
 """Randomized low-rank approximation.
 
 The fast path sketches the columns of a sparse d x n matrix with a
-CountSketch (one signed bucket per column), optionally compresses the
-sketch image with a small Gaussian test matrix when the bucket count
-exceeds what the final rank needs, and extracts the best rank-k factors
-of the projected matrix through a small eigendecomposition.  The slow
-exact truncated SVD lives here too, as the test oracle, together with
-the classical subspace power iteration used as the comparison baseline.
+CountSketch (one signed bucket per column) into a dense d x c block,
+compresses that block with a small Gaussian test matrix when the bucket
+count exceeds what the final rank needs, and extracts the best rank-k
+factors of the projected matrix through a small eigendecomposition.
+A is read twice: once by the O(nnz + d c) sketch scatter and once, at
+nnz times the working rank, for the projected Gram matrix, whose n x r
+product also yields the Z factor.  The slow exact truncated SVD lives
+here too, as the test oracle, together with the classical subspace
+power iteration used as the comparison baseline.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TextIO, Union
+from typing import Union
 
 import numpy as np
-import scipy.sparse as sp
 
-from .sparsemat import (
-    LinearOp,
-    SparseColMatrix,
-    load_dense_block,
-    right_apply,
-    save_dense_block,
-    spectral_norm_est,
-)
+from .sparsemat import LinearOp, SparseColMatrix, right_apply, spectral_norm_est
 
 __all__ = [
     "CountSketch",
@@ -42,8 +37,6 @@ __all__ = [
     "singular_values",
     "subspace_power",
     "default_power_iters",
-    "save_rank_k_factors",
-    "load_rank_k_factors",
 ]
 
 DENSE_ORACLE_LIMIT = 4000  # refuse the exact SVD when min(d, n) exceeds this
@@ -103,12 +96,17 @@ def apply_countsketch(A: SparseColMatrix, S: CountSketch) -> np.ndarray:
     """Scatter the columns of A into the sketch buckets: returns d x c dense.
 
     Column j is added, multiplied by sign_j, into output column
-    bucket_j.  Runtime is proportional to nnz(A) plus the output size.
-    The scatter walks blocks of whole columns holding at most 2^18
-    entries each (a wider column forms a block alone), so temporaries
-    stay cache-sized.  Each block's end is found in ``col_ptr`` by one
+    bucket_j.  Runtime is O(nnz(A) + d * c).  The scatter fills a
+    bucket-major c x d buffer, so one column's entries land in one
+    d-long row of it, and walks blocks of whole columns holding at most
+    max(2^18, d * c) entries each.  Each block pays one d * c
+    ``bincount`` output, so with blocks at least that large the output
+    cost is paid about once for the whole matrix rather than once per
+    2^18 entries.  Each block's end is found in ``col_ptr`` by one
     binary search, so Python does one step per block and no work per
-    column.
+    column.  Each output entry adds its terms in column order.  The
+    result is the transposed view of the c x d buffer, so it is
+    F-ordered.
     """
     if S.input_dim != A.cols:
         raise ValueError(
@@ -116,22 +114,22 @@ def apply_countsketch(A: SparseColMatrix, S: CountSketch) -> np.ndarray:
         )
     d, c = A.rows, S.sketch_dim
     counts = A.column_nnz()
-    block_entries = 1 << 18
-    out = np.zeros(d * c)
+    block_entries = max(1 << 18, d * c)
+    out = np.zeros(c * d)
     j0 = 0
     while j0 < A.cols:
         lo = A.col_ptr[j0]
+        # a column holds at most d <= block_entries entries, so j1 > j0
         j1 = int(np.searchsorted(A.col_ptr, lo + block_entries, side="right")) - 1
-        j1 = max(j1, j0 + 1)
         hi = A.col_ptr[j1]
         if hi > lo:
             col_of = np.repeat(np.arange(j0, j1), counts[j0:j1])
-            flat = A.row_idx[lo:hi] * c + S.bucket[col_of]
+            flat = S.bucket[col_of] * d + A.row_idx[lo:hi]
             out += np.bincount(
-                flat, weights=A.values[lo:hi] * S.sign[col_of], minlength=d * c
+                flat, weights=A.values[lo:hi] * S.sign[col_of], minlength=c * d
             )
         j0 = j1
-    return out.reshape(d, c)
+    return out.reshape(c, d).T
 
 
 def _cholqr2(X: np.ndarray) -> np.ndarray | None:
@@ -175,13 +173,17 @@ def _orth_columns(C: np.ndarray) -> np.ndarray:
     return U[:, :r]
 
 
-def _projected_gram(A: SparseColMatrix, Q: np.ndarray) -> np.ndarray:
+def _projected_gram(
+    A: SparseColMatrix, Q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
     """G = Q^T (A A^T) Q by whichever product order is cheaper.
 
     The d x d product route wins only for very sparse matrices; the
     pair-count bound on its output size keeps it off dense-ish inputs,
     where assembling a nearly dense matrix in sparse format would
-    dominate.
+    dominate.  The streaming route also returns the n x r product
+    A^T Q it forms on the way (None on the d x d route), so the caller
+    can build Z from it without reading A again.
     """
     r = Q.shape[1]
     col_nnz = A.column_nnz().astype(np.float64)
@@ -190,11 +192,14 @@ def _projected_gram(A: SparseColMatrix, Q: np.ndarray) -> np.ndarray:
     d = A.rows
     if d <= 4096 and pair_count < stream_flops and pair_count < 0.25 * d * d:
         AAt = A._scipy @ A._scipy.T
-        G = Q.T @ (AAt @ Q)
+        # not Q.T @ (...): BLAS splits that d-long sum across threads, so its
+        # rounding would depend on the thread count
+        G = np.einsum("ij,ik->jk", Q, AAt @ Q)
+        Wt = None
     else:
-        Wt = np.asarray(A._scipy.T @ Q)  # n x r, one pass over A per column block
+        Wt = np.asarray(A._scipy.T @ Q)  # n x r, one pass over A
         G = Wt.T @ Wt
-    return 0.5 * (G + G.T)
+    return 0.5 * (G + G.T), Wt
 
 
 def mixed_lra(
@@ -206,15 +211,18 @@ def mixed_lra(
 ) -> RankKFactors:
     """Rank-k factors whose product satisfies a mixed spectral-Frobenius bound.
 
-    Pipeline: sketch the columns into ``c`` buckets (default c = k^2);
-    if the bucket count exceeds the working-rank cap, compress the sketch
-    image with a seeded Gaussian test matrix; orthonormalize to get the
-    basis Q; take the top-k directions of the projection of A onto
-    span(Q) via the small Gram matrix Q^T A A^T Q; return Y (those
-    directions) and Z = A^T Y.
+    Pipeline: sketch the columns into ``c`` buckets (default c = k^2)
+    with ``apply_countsketch``; if the bucket count exceeds the
+    working-rank cap, compress that d x c block with a seeded Gaussian
+    test matrix; orthonormalize to get the basis Q; take the top-k
+    directions of the projection of A onto span(Q) via the small Gram
+    matrix Q^T A A^T Q; return Y (those directions) and Z = A^T Y.
 
-    Total cost is O(nnz(A) * poly(k) + (n + d) * poly(k)); no dense
-    object larger than (n + d) times the working rank is formed.
+    Cost: one O(nnz(A) + d * c) scatter for the sketch, one nnz(A) * r
+    pass for A^T Q (r is the working rank), whose product with the
+    top-k eigenvectors is Z on that route, and a d x c dense block, that
+    is d * k^2 at the default width.  On the d x d Gram route used for
+    hyper-sparse input, Z takes one more sparse pass.
     """
     d, n = A.shape
     if not 1 <= k <= min(d, n):
@@ -224,27 +232,18 @@ def mixed_lra(
     if c < k:
         raise ValueError(f"sketch width c={c} must be at least k={k}")
     s1, s2 = np.random.SeedSequence(seed).generate_state(2)
-    S = make_countsketch(n, c, int(s1))
+    C = apply_countsketch(A, make_countsketch(n, c, int(s1)))
 
     q_cap = compress_dim if compress_dim is not None else max(2 * k, k + 10)
     if min(d, c) > q_cap:
-        # range compression: the sketch image is kept sparse (nnz-sized)
-        # and hit with a small Gaussian test matrix, so no d x c dense
-        # block is ever formed
-        omega = np.random.default_rng(int(s2)).standard_normal((c, q_cap))
-        col_of = np.repeat(np.arange(n), A.column_nnz())
-        image = sp.coo_array(
-            (A.values * S.sign[col_of], (A.row_idx, S.bucket[col_of])), shape=(d, c)
-        ).tocsr()
-        C = np.asarray(image @ omega)
-    else:
-        C = apply_countsketch(A, S)
+        # range compression to the working rank
+        C = C @ np.random.default_rng(int(s2)).standard_normal((c, q_cap))
 
     Q = _orth_columns(C)
     if Q.shape[1] == 0:
         return RankKFactors(np.zeros((d, 0)), np.zeros((n, 0)), 0, True, 0)
 
-    G = _projected_gram(A, Q)
+    G, Wt = _projected_gram(A, Q)
     lam, vecs = np.linalg.eigh(G)
     order = np.argsort(lam)[::-1]
     lam, vecs = lam[order], vecs[:, order]
@@ -252,8 +251,10 @@ def mixed_lra(
     kk = min(k, positive)
     if kk == 0:
         return RankKFactors(np.zeros((d, 0)), np.zeros((n, 0)), 0, True, Q.shape[1])
-    Y = Q @ vecs[:, :kk]
-    Z = np.asarray(A._scipy.T @ Y)  # Z^T = Y^T A, so B = Y Z^T projects A onto span(Y)
+    V = vecs[:, :kk]
+    Y = Q @ V
+    # Z^T = Y^T A, so B = Y Z^T projects A onto span(Y); A^T Y = (A^T Q) V
+    Z = Wt @ V if Wt is not None else np.asarray(A._scipy.T @ Y)
     return RankKFactors(Y, Z, kk, kk < k, Q.shape[1])
 
 
@@ -468,16 +469,3 @@ def subspace_power(
     # tightest meaningful stillness threshold
     converged = movement <= 1e-6 and tail_ratio < 0.999
     return PowerIterationResult(Q, converged, tail_ratio, redraws, iterates)
-
-
-def save_rank_k_factors(fac: RankKFactors, f: TextIO) -> None:
-    save_dense_block("Y", fac.Y, f)
-    save_dense_block("Z", fac.Z, f)
-
-
-def load_rank_k_factors(f: TextIO) -> RankKFactors:
-    name_y, Y = load_dense_block(f)
-    name_z, Z = load_dense_block(f)
-    if name_y != "Y" or name_z != "Z":
-        raise ValueError("expected blocks named Y and Z")
-    return RankKFactors(Y, Z, Y.shape[1], False, Y.shape[1])

@@ -209,16 +209,19 @@ class TestDeterminismAndConsistency:
             np.testing.assert_array_equal(select_indices(u, R.size, "two_sided"), R)
 
     def test_blas_thread_count_does_not_change_estimates(self):
+        # the first matrix takes the streaming Gram route, the second (hyper-
+        # sparse) the A A^T route; both compress their k^2-wide sketch
         script = textwrap.dedent("""
             import hashlib
             import numpy as np
             from simplexi import LearnerConfig, gen_bernoulli, learn_simplex
-            A = gen_bernoulli(300, 3000, 0.05, 4)
-            est = learn_simplex(A, LearnerConfig(k=8, delta=0.01, seed=3))
-            h = hashlib.sha256()
-            for a in (est.vertices, est.directions, *est.index_sets):
-                h.update(np.ascontiguousarray(a).tobytes())
-            print(h.hexdigest())
+            for d, n, p, k in ((300, 3000, 0.05, 8), (1000, 20000, 2e-4, 16)):
+                A = gen_bernoulli(d, n, p, 4)
+                est = learn_simplex(A, LearnerConfig(k=k, delta=0.01, seed=3))
+                h = hashlib.sha256()
+                for a in (est.vertices, est.directions, *est.index_sets):
+                    h.update(np.ascontiguousarray(a).tobytes())
+                print(h.hexdigest())
         """)
         src = str(Path(__file__).resolve().parents[1] / "src")
         digests = []
@@ -229,8 +232,8 @@ class TestDeterminismAndConsistency:
                 [sys.executable, "-c", script], env=env, capture_output=True,
                 text=True, timeout=120, check=True,
             )
-            digests.append(out.stdout.strip())
-        assert len(digests[0]) == 64
+            digests.append(out.stdout.split())
+        assert [len(x) for x in digests[0]] == [64, 64]
         assert digests[0] == digests[1]
 
 

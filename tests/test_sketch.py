@@ -1,18 +1,16 @@
-import io
 import time
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import simplexi.sketch as sketch_mod
 from simplexi.sketch import (
     apply_countsketch,
     exact_topk_svd,
-    load_rank_k_factors,
     lra_residual_norm,
     make_countsketch,
     mixed_lra,
-    save_rank_k_factors,
     singular_values,
     subspace_power,
     svd_tail_norms,
@@ -73,11 +71,11 @@ class TestApplyCountsketch:
         np.testing.assert_allclose(apply_countsketch(A, S), A.toarray() @ dense_sketch)
 
     def test_blocked_path_matches_sparse_product(self):
-        # more than 2^18 entries, so the scatter runs in column blocks; column 5
-        # alone is wider than a block and follows two empty columns, and empty
-        # runs sit in the middle and at the end
+        # more than max(2^18, d * c) entries, so the scatter runs in column
+        # blocks; column 5 is full, as large as a block, and follows two empty
+        # columns, and empty runs sit in the middle and at the end
         rng = np.random.default_rng(11)
-        d, n, c = (1 << 18) + 1000, 40, 4
+        d, n, c = (1 << 18) + 1000, 40, 1
         filled = [j for j in range(n) if j not in (3, 4, 5) and not 10 <= j < 15 and j < 35]
         rows = [np.arange(d)] + [rng.integers(0, d, size=20_000) for _ in filled]
         cols = [np.full(d, 5)] + [np.full(20_000, j) for j in filled]
@@ -85,8 +83,20 @@ class TestApplyCountsketch:
         A = from_scipy(
             sp.coo_array((rng.uniform(-1.0, 1.0, size=rows.size), (rows, cols)), shape=(d, n))
         )
-        assert A.nnz > 1 << 18 and A.column_nnz()[5] > 1 << 18
+        assert A.nnz > 2 * d * c and A.column_nnz()[5] == d
         S = make_countsketch(n, c, seed=4)
+        S_mat = sp.csc_array((S.sign, (np.arange(n), S.bucket)), shape=(n, c))
+        np.testing.assert_allclose(apply_countsketch(A, S), (A._scipy @ S_mat).toarray())
+
+    @pytest.mark.parametrize("n", [500, 1600])
+    def test_output_sized_blocks_match_sparse_product(self, n):
+        # d * c > 2^18 sets the block size: n=500 fits in one block, n=1600
+        # spans several
+        d, c = 1000, 300
+        A = random_sparse(d, n, 0.8, seed=n)
+        assert d * c > 1 << 18 and A.nnz > 1 << 18
+        assert (A.nnz > d * c) == (n == 1600)
+        S = make_countsketch(n, c, seed=5)
         S_mat = sp.csc_array((S.sign, (np.arange(n), S.bucket)), shape=(n, c))
         np.testing.assert_allclose(apply_countsketch(A, S), (A._scipy @ S_mat).toarray())
 
@@ -192,9 +202,31 @@ class TestMixedLra:
         assert fac.rank_deficient
         assert fac.k == 1
 
-    def test_z_equals_projected_matrix(self):
-        A = random_sparse(25, 120, 0.1, seed=7)
-        fac = mixed_lra(A, 3, seed=7)
+    @pytest.mark.parametrize(
+        "shape, density, k, streaming",
+        [
+            ((25, 120), 0.1, 3, True),  # c = 9 <= cap 13
+            ((60, 300), 0.5, 5, True),  # c = 25 > cap 15
+            ((200, 2000), 0.005, 3, False),
+            ((200, 2000), 0.005, 5, False),
+        ],
+        ids=["stream-c9", "stream-c25", "aat-c9", "aat-c25"],
+    )
+    def test_z_equals_projected_matrix(self, monkeypatch, shape, density, k, streaming):
+        # streaming: Z comes from the A^T Q product of the Gram step; the
+        # d x d route takes its own pass for Z
+        routes = []
+        gram = sketch_mod._projected_gram
+
+        def spy(A, Q):
+            G, Wt = gram(A, Q)
+            routes.append(Wt is not None)
+            return G, Wt
+
+        monkeypatch.setattr(sketch_mod, "_projected_gram", spy)
+        A = random_sparse(*shape, density, seed=7)
+        fac = mixed_lra(A, k, seed=7)
+        assert routes == [streaming] and fac.k == k
         np.testing.assert_allclose(fac.Z, A.toarray().T @ fac.Y, atol=1e-10)
 
     def test_rejects_bad_k_and_c(self):
@@ -340,16 +372,3 @@ class TestRuntimeScaling:
             slopes.append(np.polyfit(np.log(sizes), np.log(times), 1)[0])
         slope = float(np.median(slopes))
         assert 0.8 <= slope <= 1.3, f"median slope {slope:.3f} of {slopes}"
-
-
-class TestFactorSerialization:
-    def test_roundtrip(self):
-        A = random_sparse(12, 30, 0.2, seed=2)
-        fac = mixed_lra(A, 3, seed=2)
-        buf = io.StringIO()
-        save_rank_k_factors(fac, buf)
-        buf.seek(0)
-        back = load_rank_k_factors(buf)
-        np.testing.assert_array_equal(fac.Y, back.Y)
-        np.testing.assert_array_equal(fac.Z, back.Z)
-        assert back.k == fac.k
