@@ -54,6 +54,6 @@ from .sparsemat import (
     right_apply,
     spectral_norm_est,
 )
-from .subspace import Basis, orthonormalize, proj_distance, project_out, sin_theta
+from .subspace import Basis, orthonormalize, project_out, sin_theta
 
 __version__ = "0.1.0"

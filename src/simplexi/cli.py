@@ -242,20 +242,26 @@ def cmd_learn(args: argparse.Namespace) -> int:
             baseline=_resolve(args, "baseline", config, "sketch"),
             power_multiplier=int(_resolve(args, "power-multiplier", config, 3)),
         )
-        if cfg.k > min(A.shape):
-            raise ValueError(f"k={cfg.k} exceeds min{A.shape}")
     except (ValueError, FileNotFoundError) as exc:
         print(f"learn: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
     try:
         t0 = time.perf_counter()
-        Y, Z, flag = compute_factors(A, cfg)
+        Y, Z, factor_rank_deficient = compute_factors(A, cfg)
         t_factor = time.perf_counter() - t0
+    except (RankRestoreError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError, so it is caught first
+        print(f"learn: {exc}", file=sys.stderr)
+        return NUMERICAL_ERROR
+    except ValueError as exc:  # k above min(d, n), or --sketch-cols below k
+        print(f"learn: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    try:
         t0 = time.perf_counter()
         est = select_vertices(A, Y, Z, cfg)
         t_select = time.perf_counter() - t0
-    except (LearnerError, RankRestoreError) as exc:
+    except LearnerError as exc:
         print(f"learn: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
 
@@ -271,7 +277,8 @@ def cmd_learn(args: argparse.Namespace) -> int:
         "input": inp, "k": cfg.k, "delta": cfg.delta, "seed": seed,
         "selection_mode": cfg.selection_mode, "baseline": cfg.baseline,
         "sketch_cols": cfg.sketch_cols if cfg.sketch_cols is not None else cfg.k**2,
-        "rank_deficient": est.rank_deficient,
+        # as learn_simplex reports it: from the factors or from selection
+        "rank_deficient": factor_rank_deficient or est.rank_deficient,
     }
     if inst is not None:
         alpha = compute_alpha(inst.M)
@@ -315,7 +322,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args, config)
     repeats = int(_resolve(args, "repeats", config, 5))
     power_multiplier = int(_resolve(args, "power-multiplier", config, 3))
-    parallel = bool(getattr(args, "parallel", False))
     ks = [int(x) for x in str(k_list).split(",") if x]
     edge_file = _resolve(args, "edge-file", config)
 
@@ -360,14 +366,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     os.makedirs(out, exist_ok=True)
     nan = float("nan")
 
-    def run_cell(label: str, meta: dict, A, rep: int) -> tuple[BenchRecord, int, str]:
-        k = meta["k"]
+    def run_cell(label: str, k: int, A, rep: int) -> tuple[BenchRecord, str]:
         rep_seed = seed + rep
         t_sketch = t_topk = loss_sketch = loss_topk = nan
         error = ""
         try:
-            if not parallel:
-                t_sketch, t_topk = _time_phases(A, k, power_multiplier, rep_seed)
+            t_sketch, t_topk = _time_phases(A, k, power_multiplier, rep_seed)
             if with_loss:
                 delta = _parse_number(str(loss_delta))
                 losses = {}
@@ -383,45 +387,30 @@ def cmd_bench(args: argparse.Namespace) -> int:
         except (ValueError, RuntimeError) as exc:
             error = str(exc)
         rec = BenchRecord(label, t_sketch, t_topk, loss_sketch, loss_topk, rep_seed)
-        return rec, rep, error
+        return rec, error
 
-    tasks = [(label, meta, A, rep) for label, meta, A in cells for rep in range(repeats)]
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(lambda t: run_cell(*t), tasks))
-    else:
-        results = [run_cell(*t) for t in tasks]
-
-    if parallel:
-        # timing columns are meaningless under concurrent execution
-        legs = ["loss_sketch", "loss_topk"]
-    else:
-        legs = ["wall_time_sketch", "wall_time_topk", "loss_sketch", "loss_topk"]
-
-    def cell_value(rec: BenchRecord, leg: str) -> float:
-        return getattr(rec, leg)
+    results = []  # (k, repeat, record, error) for every cell and repeat, in grid order
+    for label, meta, A in cells:
+        for rep in range(repeats):
+            results.append((meta["k"], rep, *run_cell(label, meta["k"], A, rep)))
+    legs = ["wall_time_sketch", "wall_time_topk", "loss_sketch", "loss_topk"]
 
     rep_header = ["label", "k", "repeat", "seed"] + legs + ["error"]
     table = []
-    for (rec, rep, error), (label, meta, _) in zip(results, (
-        (label, meta, A) for label, meta, A in cells for _ in range(repeats)
-    )):
-        vals = [_fmt(cell_value(rec, leg)) if np.isfinite(cell_value(rec, leg)) else ""
+    for k, rep, rec, error in results:
+        vals = [_fmt(getattr(rec, leg)) if np.isfinite(getattr(rec, leg)) else ""
                 for leg in legs]
-        table.append([rec.label, _fmt(meta["k"]), _fmt(rep), _fmt(rec.seed)] + vals + [error])
+        table.append([rec.label, _fmt(k), _fmt(rep), _fmt(rec.seed)] + vals + [error])
     _write_csv(os.path.join(out, "bench_repeats.csv"), rep_header, table)
 
     # headline CSV: one row per grid cell, repeat means
     mean_rows = []
     for label, meta, _ in cells:
-        cell = [(rec, error) for rec, _, error in results if rec.label == label]
+        cell = [(rec, error) for _, _, rec, error in results if rec.label == label]
         errors = "; ".join(error for _, error in cell if error)
         mean_row = [label, _fmt(meta["k"]), _fmt(len(cell))]
         for leg in legs:
-            vals = [cell_value(rec, leg) for rec, _ in cell
-                    if np.isfinite(cell_value(rec, leg))]
+            vals = [getattr(rec, leg) for rec, _ in cell if np.isfinite(getattr(rec, leg))]
             mean_row.append(_fmt(float(np.mean(vals))) if vals else "")
         mean_row.append(errors)
         mean_rows.append(mean_row)
@@ -432,27 +421,25 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
 
     # mean-over-repeats chart per phase
-    if not parallel:
-        by_label: dict[str, dict[str, list[float]]] = {}
-        for rec, _, _ in results:
-            if np.isfinite(rec.wall_time_sketch):
-                slot = by_label.setdefault(rec.label, {"sketch": [], "topk": []})
-                slot["sketch"].append(rec.wall_time_sketch)
-                slot["topk"].append(rec.wall_time_topk)
-        if by_label:
-            labels = list(by_label.keys())
-            series = {
-                "sketch factorization": [float(np.mean(by_label[l]["sketch"])) for l in labels],
-                "top-k subspace": [float(np.mean(by_label[l]["topk"])) for l in labels],
-            }
-            with open(os.path.join(out, "bench_times.svg"), "w") as f:
-                f.write(svg.bar_chart("Mean phase runtime", "grid cell", "seconds",
-                                      labels, series))
+    by_label: dict[str, dict[str, list[float]]] = {}
+    for _, _, rec, _ in results:
+        if np.isfinite(rec.wall_time_sketch):
+            slot = by_label.setdefault(rec.label, {"sketch": [], "topk": []})
+            slot["sketch"].append(rec.wall_time_sketch)
+            slot["topk"].append(rec.wall_time_topk)
+    if by_label:
+        labels = list(by_label.keys())
+        series = {
+            "sketch factorization": [float(np.mean(by_label[l]["sketch"])) for l in labels],
+            "top-k subspace": [float(np.mean(by_label[l]["topk"])) for l in labels],
+        }
+        with open(os.path.join(out, "bench_times.svg"), "w") as f:
+            f.write(svg.bar_chart("Mean phase runtime", "grid cell", "seconds",
+                                  labels, series))
 
     _write_manifest(out, {
         "k_list": ",".join(str(k) for k in ks), "repeats": repeats, "seed": seed,
-        "parallel": parallel, "edge_file": edge_file or "",
-        "cells": len(cells),
+        "edge_file": edge_file or "", "cells": len(cells),
     })
     return 0
 
@@ -614,8 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--edge-mode", dest="edge_mode", choices=["square", "bipartite"])
     b.add_argument("--loss-delta", dest="loss_delta")
     b.add_argument("--loss-sample", dest="loss_sample", type=int)
-    b.add_argument("--parallel", action="store_true",
-                   help="run cells concurrently; timing columns are dropped")
     b.set_defaults(func=cmd_bench)
 
     e = sub.add_parser("eval", help="score estimates against an instance")

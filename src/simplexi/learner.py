@@ -138,7 +138,11 @@ def _seeds(cfg: LearnerConfig) -> tuple[int, int]:
 
 
 def compute_factors(A: SparseColMatrix, cfg: LearnerConfig):
-    """Factorization phase: returns (Y, Z, rank_deficient)."""
+    """Factorization phase: returns (Y, Z, rank_deficient).
+
+    Raises ``ValueError`` unless 1 <= cfg.k <= min(d, n), from the shape
+    check in ``mixed_lra`` or ``subspace_power``.
+    """
     d, n = A.shape
     seed_fac, _ = _seeds(cfg)
     if cfg.baseline == "power_iteration":
@@ -208,9 +212,6 @@ def learn_simplex(A: SparseColMatrix, cfg: LearnerConfig) -> VertexEstimates:
     Runs the factorization phase (one pass over A) followed by the
     selection phase; deterministic given (A, cfg).
     """
-    d, n = A.shape
-    if cfg.k > min(d, n):
-        raise ValueError(f"k={cfg.k} exceeds min(d, n) = {min(d, n)}")
     Y, Z, flag = compute_factors(A, cfg)
     est = select_vertices(A, Y, Z, cfg)
     if flag and not est.rank_deficient:

@@ -132,31 +132,21 @@ def ls_loss(
     A: SparseColMatrix,
     vertices: VertexSource,
     sample: int,
-    iters: int = 200,
     seed: int = 0,
-    span_only: bool = False,
 ) -> float:
     """Squared residual of fitting sampled columns inside the vertex hull.
 
     For each sampled column solve min_w ||A_j - V w||^2 over the
-    probability simplex by projected gradient (fixed iteration count,
-    step 1/||V^T V||_2), then scale the summed residual by n / sample.
-    ``span_only`` switches to the unconstrained span projection instead.
+    probability simplex by projected gradient (200 iterations, step
+    1/||V^T V||_2), then scale the summed residual by n / sample.
     """
     V = _vertex_matrix(vertices)
     d, n = A.shape
     if not 1 <= sample <= n:
         raise ValueError(f"sample={sample} out of range for n={n}")
-    if iters < 1:
-        raise ValueError("iters must be at least 1")
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(n, size=sample, replace=False))
     X = A._scipy[:, idx].toarray()
-
-    if span_only:
-        basis = orthonormalize(V)
-        R = X if basis.is_empty else X - basis.cols @ (basis.cols.T @ X)
-        return float(np.sum(R * R) * (n / sample))
 
     k = V.shape[1]
     G = V.T @ V
@@ -166,7 +156,7 @@ def ls_loss(
     VtX = V.T @ X
     W = np.full((k, sample), 1.0 / k)
     step = 1.0 / L
-    for _ in range(iters):
+    for _ in range(200):
         grad = G @ W - VtX
         W = project_columns_to_simplex(W - step * grad)
     R = X - V @ W

@@ -90,12 +90,11 @@ class AssumptionReport:
     proximate_counts: np.ndarray  # per-vertex counts of close latent points
     spectral_ok: bool
     spectral_lhs: float  # sigma / sqrt(delta)
-    spectral_rhs: float  # alpha^2 min ||M_l|| / (c k^9)
+    spectral_rhs: float  # alpha^2 min ||M_l|| / k^9
     significant_ok: bool | None
     gap_ratio: float  # sigma_k / sigma_{k+1}
     tail_energy_ratio: float  # ||A - A_k||_F^2 / ||A - A_k||_2^2
     phi: float
-    c_used: float
     proximity_radius_used: float
 
     @property
@@ -149,12 +148,13 @@ def _sigma_factored(A: SparseColMatrix, M: np.ndarray, W: np.ndarray, seed: int 
     return est.value / np.sqrt(A.cols)
 
 
-def fit_delta(M: np.ndarray, P: np.ndarray, sigma: float, grid_size: int = 60) -> float:
-    """Largest smoothing fraction delta for which every vertex has at
-    least floor(delta n) latent points within 4 sigma / sqrt(delta)."""
+def fit_delta(M: np.ndarray, P: np.ndarray, sigma: float) -> float:
+    """Largest smoothing fraction delta, on a 60-point geometric grid from
+    1/2 down to 1/n, for which every vertex has at least floor(delta n)
+    latent points within 4 sigma / sqrt(delta)."""
     n = P.shape[1]
     dists = _vertex_distances(M, P)
-    for delta in np.geomspace(0.5, 1.0 / n, grid_size):
+    for delta in np.geomspace(0.5, 1.0 / n, 60):
         radius = 4.0 * sigma / np.sqrt(delta)
         need = int(np.floor(delta * n))
         counts = (dists <= radius).sum(axis=1)
@@ -415,35 +415,22 @@ def gen_bernoulli(d: int, n: int, p: float, seed: int = 0) -> SparseColMatrix:
     return from_scipy(sp.hstack(parts, format="csc") if len(parts) > 1 else parts[0])
 
 
-def check_assumptions(
-    inst: SimplexInstance,
-    c: float = 1.0,
-    proximity_mode: str = "over_sqrt_delta",
-    phi_cap: float | None = None,
-) -> AssumptionReport:
+def check_assumptions(inst: SimplexInstance) -> AssumptionReport:
     """Measure the four model conditions on a generated instance.
 
-    The proximity radius defaults to 4 sigma / sqrt(delta); the variant
-    radius 4 sigma / delta is available as ``proximity_mode="over_delta"``.
-    The top-k-dominance check uses the dense spectrum oracle and is
-    reported as unchecked (None) when the instance exceeds its size cap.
-    ``phi_cap`` bounds the tolerated tail-energy multiplicity and
-    defaults to 4k (block-structured observation noise concentrates k
-    comparable directions per vertex, so a k-proportional cap keeps the
-    check meaningful across instance sizes).
+    The proximity radius is 4 sigma / sqrt(delta).  The top-k-dominance
+    check uses the dense spectrum oracle and is reported as unchecked
+    (None) when the instance exceeds its size cap.  The tolerated
+    tail-energy multiplicity phi is capped at 4k (block-structured
+    observation noise concentrates k comparable directions per vertex,
+    so a k-proportional cap keeps the check meaningful across instance
+    sizes).
     """
-    if proximity_mode not in ("over_sqrt_delta", "over_delta"):
-        raise ValueError(f"unknown proximity_mode {proximity_mode!r}")
     d, n = inst.shape
     k = inst.k
-    if phi_cap is None:
-        phi_cap = 4.0 * k
     alpha = compute_alpha(inst.M)
 
-    if proximity_mode == "over_sqrt_delta":
-        radius = 4.0 * inst.sigma / np.sqrt(inst.delta)
-    else:
-        radius = 4.0 * inst.sigma / inst.delta
+    radius = 4.0 * inst.sigma / np.sqrt(inst.delta)
     dists = _vertex_distances(inst.M, inst.P)
     counts = (dists <= radius + 1e-15).sum(axis=1)
     need = int(np.floor(inst.delta * n))
@@ -451,10 +438,10 @@ def check_assumptions(
 
     lhs = inst.sigma / np.sqrt(inst.delta)
     min_norm = float(np.min(np.linalg.norm(inst.M, axis=0)))
-    rhs = alpha * alpha * min_norm / (c * float(k) ** 9)
+    rhs = alpha * alpha * min_norm / float(k) ** 9
     spectral_ok = bool(lhs <= rhs)
 
-    phi = min(phi_cap, inst.A.nnz / (n * float(k) ** 3))
+    phi = min(4.0 * k, inst.A.nnz / (n * float(k) ** 3))
     significant_ok: bool | None
     if min(d, n) > DENSE_ORACLE_LIMIT:
         significant_ok = None
@@ -484,7 +471,6 @@ def check_assumptions(
         gap_ratio=gap_ratio,
         tail_energy_ratio=tail_ratio,
         phi=phi,
-        c_used=c,
         proximity_radius_used=radius,
     )
 

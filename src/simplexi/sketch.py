@@ -20,7 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from .sparsemat import LinearOp, SparseColMatrix, right_apply, spectral_norm_est
+from .sparsemat import SparseColMatrix
 
 __all__ = [
     "CountSketch",
@@ -31,7 +31,6 @@ __all__ = [
     "make_countsketch",
     "apply_countsketch",
     "mixed_lra",
-    "lra_residual_norm",
     "exact_topk_svd",
     "svd_tail_norms",
     "singular_values",
@@ -207,16 +206,16 @@ def mixed_lra(
     k: int,
     c: int | None = None,
     seed: int = 0,
-    compress_dim: int | None = None,
 ) -> RankKFactors:
     """Rank-k factors whose product satisfies a mixed spectral-Frobenius bound.
 
     Pipeline: sketch the columns into ``c`` buckets (default c = k^2)
     with ``apply_countsketch``; if the bucket count exceeds the
-    working-rank cap, compress that d x c block with a seeded Gaussian
-    test matrix; orthonormalize to get the basis Q; take the top-k
-    directions of the projection of A onto span(Q) via the small Gram
-    matrix Q^T A A^T Q; return Y (those directions) and Z = A^T Y.
+    working-rank cap max(2k, k + 10), compress that d x c block with a
+    seeded Gaussian test matrix; orthonormalize to get the basis Q; take
+    the top-k directions of the projection of A onto span(Q) via the
+    small Gram matrix Q^T A A^T Q; return Y (those directions) and
+    Z = A^T Y.
 
     Cost: one O(nnz(A) + d * c) scatter for the sketch, one nnz(A) * r
     pass for A^T Q (r is the working rank), whose product with the
@@ -234,7 +233,7 @@ def mixed_lra(
     s1, s2 = np.random.SeedSequence(seed).generate_state(2)
     C = apply_countsketch(A, make_countsketch(n, c, int(s1)))
 
-    q_cap = compress_dim if compress_dim is not None else max(2 * k, k + 10)
+    q_cap = max(2 * k, k + 10)
     if min(d, c) > q_cap:
         # range compression to the working rank
         C = C @ np.random.default_rng(int(s2)).standard_normal((c, q_cap))
@@ -256,20 +255,6 @@ def mixed_lra(
     # Z^T = Y^T A, so B = Y Z^T projects A onto span(Y); A^T Y = (A^T Q) V
     Z = Wt @ V if Wt is not None else np.asarray(A._scipy.T @ Y)
     return RankKFactors(Y, Z, kk, kk < k, Q.shape[1])
-
-
-def lra_residual_norm(A: SparseColMatrix, fac: RankKFactors, seed: int = 0) -> float:
-    """Measured spectral norm of A - Y Z^T, applied operator-style."""
-    Y, Z = fac.Y, fac.Z
-
-    def matvec(x):
-        return right_apply(A, x) - Y @ (Z.T @ x)
-
-    def rmatvec(y):
-        return np.asarray(y @ A._scipy) - Z @ (Y.T @ y)
-
-    est = spectral_norm_est(LinearOp(A.shape, matvec, rmatvec), tol=1e-9, seed=seed)
-    return est.value
 
 
 def _gram_eigs(A: Union[SparseColMatrix, np.ndarray]) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -406,8 +391,8 @@ def subspace_power(
     singular value below the subspace to report the gap ratio.
     """
     d, n = A.shape
-    if not 1 <= k <= d:
-        raise ValueError(f"k={k} out of range for d={d}")
+    if not 1 <= k <= min(d, n):
+        raise ValueError(f"k={k} must satisfy 1 <= k <= min(d, n) = {min(d, n)}")
     if T < 1:
         raise ValueError("T must be at least 1")
     rng = np.random.default_rng(seed)

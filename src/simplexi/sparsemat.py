@@ -76,9 +76,6 @@ class SparseColMatrix:
     def column_nnz(self) -> np.ndarray:
         return np.diff(self.col_ptr)
 
-    def transpose(self) -> "SparseColMatrix":
-        return from_scipy(self._scipy.T.tocsc())
-
 
 def build_csc(triplets: Sequence[Triplet], d: int, n: int) -> SparseColMatrix:
     """Assemble a ``SparseColMatrix`` from (row, col, value) triplets.
@@ -202,18 +199,13 @@ class NormEstimate(NamedTuple):
     iterations: int
 
 
-MatrixLike = Union[SparseColMatrix, np.ndarray, LinearOp]
+MatrixLike = Union[SparseColMatrix, LinearOp]
 
 
 def _as_linear_op(A: MatrixLike) -> LinearOp:
     if isinstance(A, LinearOp):
         return A
-    if isinstance(A, SparseColMatrix):
-        return LinearOp(A.shape, lambda x: right_apply(A, x), lambda y: left_apply(y, A))
-    M = np.asarray(A, dtype=np.float64)
-    if M.ndim != 2:
-        raise ValueError("expected a 2-d array")
-    return LinearOp(M.shape, lambda x: M @ x, lambda y: y @ M)
+    return LinearOp(A.shape, lambda x: right_apply(A, x), lambda y: left_apply(y, A))
 
 
 def spectral_norm_est(

@@ -17,7 +17,6 @@ __all__ = [
     "orthonormalize",
     "extend_basis",
     "sin_theta",
-    "proj_distance",
     "project_out",
 ]
 
@@ -40,11 +39,6 @@ class Basis:
     def is_empty(self) -> bool:
         return self.r == 0
 
-    def project(self, v: np.ndarray) -> np.ndarray:
-        if self.is_empty:
-            return np.zeros_like(v)
-        return self.cols @ (self.cols.T @ v)
-
 
 _DEPENDENCE_TOL = 1e-10  # relative residual norm at or below which a vector is dropped
 
@@ -53,10 +47,10 @@ def _empty_basis(d: int) -> Basis:
     return Basis(np.zeros((d, 0), dtype=np.float64))
 
 
-def _unit_residual(v: np.ndarray, cols: list[np.ndarray], tol: float) -> np.ndarray | None:
+def _unit_residual(v: np.ndarray, cols: list[np.ndarray]) -> np.ndarray | None:
     """One Gram-Schmidt step: v minus its components along the orthonormal
     ``cols`` (two passes), normalized; None when v is zero or its residual
-    norm is at most ``tol`` times its own norm."""
+    norm is at most ``_DEPENDENCE_TOL`` times its own norm."""
     vn = np.linalg.norm(v)
     if vn == 0.0:
         return None
@@ -65,19 +59,17 @@ def _unit_residual(v: np.ndarray, cols: list[np.ndarray], tol: float) -> np.ndar
         for q in cols:
             r -= q * (q @ r)
     rn = np.linalg.norm(r)
-    if rn <= tol * vn:
+    if rn <= _DEPENDENCE_TOL * vn:
         return None
     return r / rn
 
 
-def orthonormalize(
-    vectors: Union[np.ndarray, Sequence[np.ndarray]], tol: float = _DEPENDENCE_TOL
-) -> Basis:
+def orthonormalize(vectors: Union[np.ndarray, Sequence[np.ndarray]]) -> Basis:
     """Orthonormal basis for the span of the given d-vectors.
 
     Gram-Schmidt with a second re-orthogonalization pass; a vector whose
-    residual norm falls below ``tol`` times its own norm is treated as
-    dependent and dropped.  If every vector is (numerically) zero the
+    residual norm falls below ``_DEPENDENCE_TOL`` times its own norm is
+    treated as dependent and dropped.  If every vector is (numerically) zero the
     returned basis is empty.
     """
     if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
@@ -91,7 +83,7 @@ def orthonormalize(
     for v in vecs:
         if v.shape[0] != d:
             raise ValueError("all vectors must have the same length")
-        q = _unit_residual(v, cols, tol)
+        q = _unit_residual(v, cols)
         if q is not None:
             cols.append(q)
     if not cols:
@@ -102,10 +94,10 @@ def orthonormalize(
 def extend_basis(U: Basis, v: np.ndarray) -> Basis:
     """``orthonormalize`` of U's columns followed by v, in O(d * U.r).
 
-    If U came from ``orthonormalize(vectors)`` at its default ``tol``, the
-    result equals ``orthonormalize(vectors + [v])`` bit for bit: the same
-    Gram-Schmidt step appends v's normalized residual, or U is returned
-    unchanged when v is zero or numerically in span(U).
+    If U came from ``orthonormalize(vectors)``, the result equals
+    ``orthonormalize(vectors + [v])`` bit for bit: the same Gram-Schmidt
+    step appends v's normalized residual, or U is returned unchanged
+    when v is zero or numerically in span(U).
     """
     v = np.asarray(v, dtype=np.float64).ravel()
     if v.shape[0] != U.dim:
@@ -113,15 +105,10 @@ def extend_basis(U: Basis, v: np.ndarray) -> Basis:
     # Contiguous copies, as orthonormalize holds them: a dot product over a
     # strided column can round differently.
     cols = [q.copy() for q in U.cols.T]
-    q = _unit_residual(v, cols, _DEPENDENCE_TOL)
+    q = _unit_residual(v, cols)
     if q is None:
         return U
     return Basis(np.column_stack(cols + [q]))
-
-
-def _min_singular(F: Basis, G: Basis) -> float:
-    s = np.linalg.svd(F.cols.T @ G.cols, compute_uv=False)
-    return float(s.min())
 
 
 def sin_theta(F: Basis, G: Basis) -> float:
@@ -134,25 +121,9 @@ def sin_theta(F: Basis, G: Basis) -> float:
         raise ValueError("sin_theta requires nonempty bases")
     if F.r > G.r:
         return 1.0
-    c = min(1.0, _min_singular(F, G))
+    s = np.linalg.svd(F.cols.T @ G.cols, compute_uv=False)
+    c = min(1.0, float(s.min()))
     return float(np.sqrt(max(0.0, 1.0 - c * c)))
-
-
-def proj_distance(F: Basis, G: Basis) -> float:
-    """Spectral norm of the difference of the two orthogonal projectors.
-
-    Computed as the larger of the two directed extremal sines, which for
-    equal-dimension subspaces coincides with ``sin_theta``.
-    """
-    if F.is_empty and G.is_empty:
-        return 0.0
-    if F.is_empty or G.is_empty:
-        return 1.0
-    c = min(1.0, _min_singular(F, G))
-    directed = np.sqrt(max(0.0, 1.0 - c * c))
-    if F.r == G.r:
-        return float(directed)
-    return 1.0  # unequal dimensions force a fully orthogonal direction
 
 
 def project_out(v: np.ndarray, U: Basis) -> np.ndarray:

@@ -161,7 +161,7 @@ def test_criterion_04_statistical_recovery_bound(lda_fixture, clustering_fixture
     details = []
     all_good = True
     for name, inst in (("lda", lda_fixture), ("clustering", clustering_fixture)):
-        rep = check_assumptions(inst, c=1.0)
+        rep = check_assumptions(inst)
         assert rep.proximate_ok and rep.spectral_ok and rep.significant_ok, (
             f"{name} fixture must pass the assumption checks: {rep}"
         )

@@ -118,12 +118,16 @@ class TestLearnAndEval:
         ])
         assert code == 2
 
-    def test_learn_invalid_k_is_usage_error(self, tmp_path, instance_dir):
-        code = main([
-            "learn", "--input", str(instance_dir), "--k", "100", "--delta", "0.1",
-            "--out", str(tmp_path / "z"),
-        ])
-        assert code == 2
+    def test_learn_invalid_k_is_usage_error(self, tmp_path, instance_dir, capsys):
+        # k is checked against the shape inside the factorization, on both baselines
+        for baseline in ("sketch", "power_iteration"):
+            code = main([
+                "learn", "--input", str(instance_dir), "--k", "100", "--delta", "0.1",
+                "--baseline", baseline, "--out", str(tmp_path / "z"),
+            ])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("learn: k=100 ") and len(err.strip().splitlines()) == 1
 
     def test_learn_missing_meta_key_is_usage_error(self, tmp_path, instance_dir, capsys):
         meta = instance_dir / "meta.txt"
@@ -143,20 +147,48 @@ class TestLearnAndEval:
     def test_learn_power_iteration_failure_is_numerical_error(
         self, tmp_path, instance_dir, capsys, monkeypatch
     ):
+        import numpy as np
+
         import simplexi.learner as learner_mod
         from simplexi.sketch import RankRestoreError
 
-        def fail(*args, **kwargs):
-            raise RankRestoreError("subspace power iteration could not restore full rank")
+        # LinAlgError subclasses ValueError, yet it is a numerical failure, not a usage error
+        for exc in (
+            RankRestoreError("subspace power iteration could not restore full rank"),
+            np.linalg.LinAlgError("QR factorization did not converge"),
+        ):
+            def fail(*args, exc=exc, **kwargs):
+                raise exc
 
-        monkeypatch.setattr(learner_mod, "subspace_power", fail)
-        code = main([
-            "learn", "--input", str(instance_dir), "--k", "3", "--delta", "0.1",
-            "--baseline", "power_iteration", "--out", str(tmp_path / "z"),
-        ])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err == "learn: subspace power iteration could not restore full rank\n"
+            monkeypatch.setattr(learner_mod, "subspace_power", fail)
+            code = main([
+                "learn", "--input", str(instance_dir), "--k", "3", "--delta", "0.1",
+                "--baseline", "power_iteration", "--out", str(tmp_path / "z"),
+            ])
+            assert code == 1
+            assert capsys.readouterr().err == f"learn: {exc}\n"
+
+    def test_learn_reports_factor_rank_deficiency(self, tmp_path):
+        import numpy as np
+        import scipy.sparse as sp
+
+        from simplexi import LearnerConfig, learn_simplex
+        from simplexi.sparsemat import from_scipy, save_matrix_snapshot
+
+        # rank 2 with k = 3: power iteration has to redraw a collapsed direction
+        rng = np.random.default_rng(0)
+        A = from_scipy(sp.csc_array(rng.uniform(0, 1, (30, 2)) @ rng.uniform(0, 1, (2, 200))))
+        est = learn_simplex(A, LearnerConfig(k=3, delta=0.1, seed=0, baseline="power_iteration"))
+        assert est.rank_deficient
+        path = tmp_path / "matrix.txt"
+        with open(path, "w") as f:
+            save_matrix_snapshot(A, f)
+        out = tmp_path / "learned"
+        assert main([
+            "learn", "--input", str(path), "--k", "3", "--delta", "0.1", "--seed", "0",
+            "--baseline", "power_iteration", "--out", str(out),
+        ]) == 0
+        assert "rank_deficient=True\n" in (out / "manifest.txt").read_text()
 
     def test_learn_other_runtime_error_propagates(self, tmp_path, instance_dir, monkeypatch):
         import simplexi.learner as learner_mod
@@ -226,18 +258,6 @@ class TestBench:
         sketch = min(float(r[header.index("wall_time_sketch")]) for r in body)
         topk = min(float(r[header.index("wall_time_topk")]) for r in body)
         assert sketch < topk  # the sketch phase is the faster leg
-
-    def test_parallel_drops_timing_columns(self, tmp_path):
-        out = tmp_path / "benchp"
-        code = main([
-            "bench", "--d", "30", "--n", "200", "--k-list", "3",
-            "--p-list", "0.05", "--repeats", "2", "--seed", "1",
-            "--loss-delta", "0.1", "--parallel", "--out", str(out),
-        ])
-        assert code == 0
-        header = read_csv(out / "bench.csv")[0]
-        assert not any("wall_time" in h for h in header)
-        assert "mean_loss_sketch" in header
 
 
 class TestSvgOutputs:

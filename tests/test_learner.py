@@ -304,6 +304,12 @@ class TestDegenerateInputs:
         A = random_sparse(3, 50, 0.3, seed=1)
         with pytest.raises(ValueError):
             learn_simplex(A, LearnerConfig(k=4, delta=0.1))
+        # k > n but k <= d: the power-iteration factorization checks both sides
+        tall = random_sparse(50, 3, 0.3, seed=1)
+        with pytest.raises(ValueError, match=r"min\(d, n\) = 3"):
+            learn_simplex(tall, LearnerConfig(k=4, delta=0.1, baseline="power_iteration"))
+        with pytest.raises(ValueError, match=r"min\(d, n\) = 3"):
+            learner_mod.subspace_power(tall, 4, T=3)
 
 
 class TestEstimateSerialization:

@@ -132,15 +132,6 @@ class TestLsLoss:
         V_plus = np.column_stack([V, X[:, 0]])
         assert ls_loss(A, V_plus, sample=25, seed=1) <= base + 1e-8
 
-    def test_span_only_variant(self):
-        rng = np.random.default_rng(4)
-        V = rng.standard_normal((6, 2))
-        X = rng.standard_normal((6, 10))
-        A = dense_to_csc(X)
-        Q = np.linalg.qr(V)[0]
-        expected = np.linalg.norm(X - Q @ (Q.T @ X)) ** 2
-        assert ls_loss(A, V, sample=10, seed=0, span_only=True) == pytest.approx(expected)
-
     def test_scaling_by_sample(self):
         rng = np.random.default_rng(5)
         V = rng.standard_normal((4, 2))

@@ -145,7 +145,7 @@ class TestGenClusters:
                 d=50, n=3000, k=3, sigma_target=2e-6, delta=0.1,
                 adversary_fraction=0.3, seed=seed,
             )
-            rep = check_assumptions(inst, c=1.0)
+            rep = check_assumptions(inst)
             passes += rep.proximate_ok and rep.spectral_ok and rep.alpha > 0.9
         assert passes >= 8
 
@@ -215,7 +215,7 @@ class TestCheckAssumptions:
         from simplexi.models import SimplexInstance
 
         inst = SimplexInstance(M, P, inst_A, None, 0.0, 0.2, "clustering", 0)
-        rep = check_assumptions(inst, c=1.0)
+        rep = check_assumptions(inst)
         assert rep.alpha == pytest.approx(1.0)
         assert rep.proximate_ok
         assert rep.spectral_ok

@@ -8,7 +8,6 @@ import simplexi.sketch as sketch_mod
 from simplexi.sketch import (
     apply_countsketch,
     exact_topk_svd,
-    lra_residual_norm,
     make_countsketch,
     mixed_lra,
     singular_values,
@@ -237,13 +236,6 @@ class TestMixedLra:
             mixed_lra(A, 11)
         with pytest.raises(ValueError):
             mixed_lra(A, 4, c=3)
-
-    def test_residual_norm_helper(self):
-        A = random_sparse(30, 100, 0.2, seed=3)
-        fac = mixed_lra(A, 3, seed=3)
-        measured = lra_residual_norm(A, fac, seed=1)
-        exact = np.linalg.norm(A.toarray() - fac.Y @ fac.Z.T, ord=2)
-        assert measured == pytest.approx(exact, rel=1e-5)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_oracle_bound_spot_check(self, seed):
