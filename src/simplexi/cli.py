@@ -41,6 +41,7 @@ from .models import (
     gen_lda,
     gen_mmsb,
     load_instance,
+    load_instance_core,
     save_instance,
 )
 from .sketch import RankRestoreError, default_power_iters, mixed_lra, subspace_power
@@ -207,11 +208,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _load_input(path: str):
-    """Instance directory or bare matrix snapshot; returns (A, inst or None)."""
+    """Instance directory or bare matrix snapshot; returns (A, truth), where
+    truth is (M, sigma) for an instance directory and None otherwise."""
     if os.path.isdir(path):
         if os.path.exists(os.path.join(path, "meta.txt")):
-            inst = load_instance(path)
-            return inst.A, inst
+            A, M, fields = load_instance_core(path)
+            return A, (M, fields["sigma"])
         matrix_path = os.path.join(path, "matrix.txt")
         if os.path.exists(matrix_path):
             with open(matrix_path) as f:
@@ -232,7 +234,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         return USAGE_ERROR
     seed = _resolve_seed(args, config)
     try:
-        A, inst = _load_input(inp)
+        A, truth = _load_input(inp)
         cfg = LearnerConfig(
             k=int(k),
             delta=_parse_number(str(delta)),
@@ -280,9 +282,10 @@ def cmd_learn(args: argparse.Namespace) -> int:
         # as learn_simplex reports it: from the factors or from selection
         "rank_deficient": factor_rank_deficient or est.rank_deficient,
     }
-    if inst is not None:
-        alpha = compute_alpha(inst.M)
-        match = match_vertices(est, inst.M, sigma=inst.sigma, alpha=alpha, delta=cfg.delta)
+    if truth is not None:
+        M, sigma = truth
+        alpha = compute_alpha(M)
+        match = match_vertices(est, M, sigma=sigma, alpha=alpha, delta=cfg.delta)
         rows = [["max_error", _fmt(match.max_error)],
                 ["bound", _fmt(match.bound)],
                 ["within_bound", str(match.within_bound).lower()]]

@@ -1,11 +1,15 @@
 """Iterative recovery of simplex vertices from rank-k factors.
 
-After one pass over the matrix to build the rank-k factors (Y, Z), each
-of the k selection rounds works entirely inside the factored form: a
-random direction is drawn in the column space of Y, projected away from
-the vertices found so far, pushed through Z^T to score every column,
-and the best-scoring block of columns is averaged into a new vertex.
+After the factorization builds the rank-k factors (Y, Z), each of the
+k selection rounds works entirely inside the factored form: a random
+direction is drawn in the column space of Y, projected away from the
+vertices found so far, pushed through Z^T to score every column, and
+the best-scoring block of columns is averaged into a new vertex.
 Only those selected columns of A are ever read again.
+
+The factorization reads A twice with the sketch (the sketch, then
+A^T Q; hyper-sparse input takes one more pass for Z) and twice per
+iteration with the power-iteration baseline.
 """
 
 from __future__ import annotations
@@ -209,8 +213,9 @@ def select_vertices(
 def learn_simplex(A: SparseColMatrix, cfg: LearnerConfig) -> VertexEstimates:
     """Recover k vertex estimates from a sparse observation matrix.
 
-    Runs the factorization phase (one pass over A) followed by the
-    selection phase; deterministic given (A, cfg).
+    Runs the factorization phase (two or three passes over A with the
+    sketch, two per iteration with the power-iteration baseline) followed
+    by the selection phase; deterministic given (A, cfg).
     """
     Y, Z, flag = compute_factors(A, cfg)
     est = select_vertices(A, Y, Z, cfg)

@@ -45,6 +45,7 @@ __all__ = [
     "check_assumptions",
     "save_instance",
     "load_instance",
+    "load_instance_core",
 ]
 
 
@@ -500,23 +501,18 @@ def save_instance(inst: SimplexInstance, directory: str) -> None:
             f.write(f"param.{key}={val}\n")
 
 
-def load_instance(directory: str) -> SimplexInstance:
-    """Read an instance directory written by ``save_instance``.
+def load_instance_core(directory: str) -> tuple[SparseColMatrix, np.ndarray, dict]:
+    """A, M and the ``meta.txt`` fields of an instance directory, without
+    reading ``P.txt`` or ``W.txt``.
 
-    Raises ``ValueError`` if a file is malformed or ``meta.txt`` lacks a
-    required key.
+    The fields are keyed and typed as ``SimplexInstance`` names them
+    (sigma, delta, model_tag, seed, params).  Raises ``ValueError`` if a
+    file is malformed or ``meta.txt`` lacks a required key.
     """
     with open(os.path.join(directory, "A.txt")) as f:
         A = load_matrix_snapshot(f)
     with open(os.path.join(directory, "M.txt")) as f:
         M = load_dense_block(f)[1]
-    with open(os.path.join(directory, "P.txt")) as f:
-        P = load_dense_block(f)[1]
-    W = None
-    wpath = os.path.join(directory, "W.txt")
-    if os.path.exists(wpath):
-        with open(wpath) as f:
-            W = load_dense_block(f)[1]
     meta: dict[str, str] = {}
     meta_path = os.path.join(directory, "meta.txt")
     with open(meta_path) as f:
@@ -534,8 +530,25 @@ def load_instance(directory: str) -> SimplexInstance:
         for key, val in meta.items()
         if key.startswith("param.")
     }
-    return SimplexInstance(
-        M, P, A, W,
-        float(meta["sigma"]), float(meta["delta"]),
-        meta["model_tag"], int(meta["seed"]), params,
-    )
+    fields = {
+        "sigma": float(meta["sigma"]), "delta": float(meta["delta"]),
+        "model_tag": meta["model_tag"], "seed": int(meta["seed"]), "params": params,
+    }
+    return A, M, fields
+
+
+def load_instance(directory: str) -> SimplexInstance:
+    """Read an instance directory written by ``save_instance``.
+
+    Raises ``ValueError`` if a file is malformed or ``meta.txt`` lacks a
+    required key.
+    """
+    A, M, fields = load_instance_core(directory)
+    with open(os.path.join(directory, "P.txt")) as f:
+        P = load_dense_block(f)[1]
+    W = None
+    wpath = os.path.join(directory, "W.txt")
+    if os.path.exists(wpath):
+        with open(wpath) as f:
+            W = load_dense_block(f)[1]
+    return SimplexInstance(M, P, A, W, **fields)

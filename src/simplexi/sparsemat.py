@@ -11,6 +11,7 @@ is a pure function, so they are safe to call from concurrent code.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence, TextIO, Union
@@ -84,25 +85,40 @@ def build_csc(triplets: Sequence[Triplet], d: int, n: int) -> SparseColMatrix:
     end up exactly zero are dropped.  Raises ``ValueError`` naming the
     first offending triplet if an index is out of range.
     """
+    r = np.asarray([t[0] for t in triplets], dtype=np.int64)
+    c = np.asarray([t[1] for t in triplets], dtype=np.int64)
+    v = np.asarray([t[2] for t in triplets], dtype=np.float64)
+    return _csc_from_arrays(r, c, v, d, n)
+
+
+class _TripletError(ValueError):
+    """A bad triplet; ``index`` is its position in the input."""
+
+    def __init__(self, index: int, message: str) -> None:
+        super().__init__(message)
+        self.index = index
+
+
+def _csc_from_arrays(
+    r: np.ndarray, c: np.ndarray, v: np.ndarray, d: int, n: int
+) -> SparseColMatrix:
+    """``build_csc`` on parallel row, column and value arrays."""
     if d < 0 or n < 0:
         raise ValueError(f"matrix dimensions must be nonnegative, got {d}x{n}")
-    if len(triplets) == 0:
+    if r.size == 0:
         empty_ptr = np.zeros(n + 1, dtype=np.int64)
         return SparseColMatrix(
             d, n, empty_ptr, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
         )
-    r = np.asarray([t[0] for t in triplets], dtype=np.int64)
-    c = np.asarray([t[1] for t in triplets], dtype=np.int64)
-    v = np.asarray([t[2] for t in triplets], dtype=np.float64)
     bad = np.flatnonzero((r < 0) | (r >= d) | (c < 0) | (c >= n))
     if bad.size:
         i = int(bad[0])
-        raise ValueError(
-            f"triplet #{i} = ({r[i]}, {c[i]}, {v[i]}) out of range for a {d}x{n} matrix"
+        raise _TripletError(
+            i, f"triplet #{i} = ({r[i]}, {c[i]}, {v[i]}) out of range for a {d}x{n} matrix"
         )
     if not np.all(np.isfinite(v)):
         i = int(np.flatnonzero(~np.isfinite(v))[0])
-        raise ValueError(f"triplet #{i} has non-finite value {v[i]}")
+        raise _TripletError(i, f"triplet #{i} has non-finite value {v[i]}")
 
     order = np.lexsort((r, c))
     r, c, v = r[order], c[order], v[order]
@@ -110,7 +126,15 @@ def build_csc(triplets: Sequence[Triplet], d: int, n: int) -> SparseColMatrix:
     first[0] = True
     first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
     starts = np.flatnonzero(first)
-    summed = np.add.reduceat(v, starts)
+    with np.errstate(over="ignore"):
+        summed = np.add.reduceat(v, starts)
+    if not np.all(np.isfinite(summed)):
+        j = int(np.flatnonzero(~np.isfinite(summed))[0])
+        at = starts[j]
+        i = int(order[at])
+        raise _TripletError(
+            i, f"triplet #{i} and its duplicates at ({r[at]}, {c[at]}) sum to {summed[j]}"
+        )
     r, c = r[starts], c[starts]
     keep = summed != 0.0
     r, c, summed = r[keep], c[keep], summed[keep]
@@ -169,20 +193,9 @@ def column_subset_mean(A: SparseColMatrix, S: np.ndarray) -> np.ndarray:
         raise ValueError("column subset must be nonempty")
     if S.min() < 0 or S.max() >= A.cols:
         raise ValueError(f"column index out of range for n={A.cols}")
-    counts = A.col_ptr[S + 1] - A.col_ptr[S]
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(A.rows, dtype=np.float64)
-    # Entry ranges of the selected columns, gathered without a python loop.
-    offsets = np.repeat(A.col_ptr[S], counts)
-    within = np.arange(total) - np.repeat(
-        np.concatenate(([0], np.cumsum(counts)[:-1])), counts
-    )
-    entry = offsets + within
-    # bincount adds each row's entries in entry order, like np.add.at would
-    acc = np.bincount(A.row_idx[entry], weights=A.values[entry], minlength=A.rows)
-    acc /= S.size
-    return acc
+    # The product adds each row's entries in the order of S, starting from
+    # 0.0, as a running sum over the selected columns would; x * 1.0 is exact.
+    return (A._scipy[:, S] @ np.ones(S.size)) / S.size
 
 
 class LinearOp(NamedTuple):
@@ -362,41 +375,106 @@ def save_matrix_snapshot(A: SparseColMatrix, f: TextIO) -> None:
     """Write the 'd n nnz' header followed by one 'row col value' per line."""
     f.write(f"{A.rows} {A.cols} {A.nnz}\n")
     col_of = np.repeat(np.arange(A.cols), A.column_nnz())
-    for r, c, v in zip(A.row_idx, col_of, A.values):
-        f.write(f"{r} {c} {v:.17g}\n")
+    f.write("".join(
+        f"{r} {c} {v:.17g}\n"
+        for r, c, v in zip(A.row_idx.tolist(), col_of.tolist(), A.values.tolist())
+    ))
+
+
+_TRIPLET = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
+
+
+def _parse_lines(lines: list[str], dtype: np.dtype) -> np.ndarray | None:
+    """One ``dtype`` record per line, or None if a line is blank or malformed.
+
+    Fields are separated by whitespace; there is no comment syntax.  A
+    record without fields is an empty line.
+    """
+    if dtype.itemsize == 0:
+        return None if any(line.strip() for line in lines) else np.zeros(len(lines), dtype)
+    if not lines:
+        return np.zeros(0, dtype)
+    # loadtxt skips blank lines, and warns when it finds nothing else
+    if not lines[0].strip():
+        return None
+    try:
+        out = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    return out if out.shape[0] == len(lines) else None
+
+
+def _first_bad_line(lines: list[str], dtype: np.dtype) -> int:
+    """Index of the first line that ``_parse_lines`` rejects, given that it
+    rejects ``lines``.  Each line parses on its own, so bisect."""
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _parse_lines(lines[lo:mid], dtype) is None:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def _source(f: TextIO) -> str:
+    return getattr(f, "name", "<text>")
+
+
+def _header(f: TextIO, form: str, counts: int) -> list[str]:
+    """The first line's fields as ``form`` names them; the last ``counts``
+    must be nonnegative integers."""
+    header = f.readline().split()
+    if len(header) != len(form.split()) or not all(x.isdecimal() for x in header[-counts:]):
+        raise ValueError(f"{_source(f)}:1: header must be {form!r}")
+    return header
+
+
+def _read_body(f: TextIO, count: int, dtype: np.dtype, expected: str) -> np.ndarray:
+    """Parse the ``count`` lines after the header; a malformed one raises a
+    ``ValueError`` naming its line in the file."""
+    lines = list(itertools.islice(f, count))
+    if len(lines) < count:
+        raise ValueError(
+            f"{_source(f)}:{len(lines) + 2}: expected {expected}, got the end of the file"
+            f" ({count} lines declared)"
+        )
+    body = _parse_lines(lines, dtype)
+    if body is None:
+        i = _first_bad_line(lines, dtype)
+        got = lines[i].rstrip("\n")
+        raise ValueError(f"{_source(f)}:{i + 2}: expected {expected}, got {got!r}")
+    return body
 
 
 def load_matrix_snapshot(f: TextIO) -> SparseColMatrix:
-    header = f.readline().split()
-    if len(header) != 3:
-        raise ValueError("snapshot header must be 'd n nnz'")
-    d, n, nnz = (int(x) for x in header)
-    triplets = []
-    for _ in range(nnz):
-        parts = f.readline().split()
-        if len(parts) != 3:
-            raise ValueError("snapshot body line must be 'row col value'")
-        triplets.append((int(parts[0]), int(parts[1]), float(parts[2])))
-    return build_csc(triplets, d, n)
+    """Read what ``save_matrix_snapshot`` writes.
+
+    Raises ``ValueError`` naming the line of a malformed header or body
+    line, of an index out of range or of a non-finite value.
+    """
+    d, n, nnz = (int(x) for x in _header(f, "d n nnz", 3))
+    body = _read_body(f, nnz, _TRIPLET, "'row col value' (two integers and a number)")
+    try:
+        return _csc_from_arrays(body["row"], body["col"], body["value"], d, n)
+    except _TripletError as exc:
+        raise ValueError(f"{_source(f)}:{exc.index + 2}: {exc}") from None
 
 
 def save_dense_block(name: str, M: np.ndarray, f: TextIO) -> None:
     """Write a named dense block: header '<name> rows cols', one row per line."""
     M = np.atleast_2d(np.asarray(M, dtype=np.float64))
     f.write(f"{name} {M.shape[0]} {M.shape[1]}\n")
-    for row in M:
-        f.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+    f.write("".join(" ".join(f"{x:.17g}" for x in row) + "\n" for row in M.tolist()))
 
 
 def load_dense_block(f: TextIO) -> tuple[str, np.ndarray]:
-    header = f.readline().split()
-    if len(header) != 3:
-        raise ValueError("dense block header must be '<name> rows cols'")
-    name, rows, cols = header[0], int(header[1]), int(header[2])
-    data = np.empty((rows, cols), dtype=np.float64)
-    for i in range(rows):
-        vals = f.readline().split()
-        if len(vals) != cols:
-            raise ValueError(f"dense block row {i} has {len(vals)} values, expected {cols}")
-        data[i] = [float(x) for x in vals]
-    return name, data
+    """Read what ``save_dense_block`` writes: (name, rows x cols array).
+
+    Raises ``ValueError`` naming the line of a malformed header or row.
+    """
+    name, rows, cols = _header(f, "<name> rows cols", 2)
+    rows, cols = int(rows), int(cols)
+    row = np.dtype([("row", np.float64, (cols,))])
+    body = _read_body(f, rows, row, f"{cols} numbers" if cols else "an empty line")
+    return name, body["row"]

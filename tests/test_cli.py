@@ -144,6 +144,34 @@ class TestLearnAndEval:
         assert err.startswith("learn: ") and "sigma" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_learn_malformed_matrix_is_usage_error(self, tmp_path, instance_dir, capsys):
+        path = instance_dir / "A.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = "1 2\n"
+        path.write_text("".join(lines))
+        code = main([
+            "learn", "--input", str(instance_dir), "--k", "3", "--delta", "0.1",
+            "--out", str(tmp_path / "z"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"learn: {path}:4: expected 'row col value' (two integers and a number), got '1 2'\n"
+
+    def test_learn_reads_neither_p_nor_w(self, tmp_path, instance_dir):
+        args = ["learn", "--k", "3", "--delta", "0.1", "--seed", "7"]
+        for baseline in ("sketch", "power_iteration"):
+            full, bare = tmp_path / f"full_{baseline}", tmp_path / f"bare_{baseline}"
+            assert main(args + ["--baseline", baseline, "--input", str(instance_dir),
+                                "--out", str(full)]) == 0
+            stripped = tmp_path / f"stripped_{baseline}"
+            stripped.mkdir()
+            for name in ("A.txt", "M.txt", "meta.txt"):
+                (stripped / name).write_bytes((instance_dir / name).read_bytes())
+            assert main(args + ["--baseline", baseline, "--input", str(stripped),
+                                "--out", str(bare)]) == 0
+            for name in ("estimates.txt", "match.csv"):
+                assert (full / name).read_bytes() == (bare / name).read_bytes()
+
     def test_learn_power_iteration_failure_is_numerical_error(
         self, tmp_path, instance_dir, capsys, monkeypatch
     ):

@@ -2,6 +2,9 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from simplexi.sparsemat import (
     build_csc,
@@ -18,6 +21,41 @@ from simplexi.sparsemat import (
 )
 
 from conftest import dense_to_csc, random_sparse
+
+# values whose text form must round-trip exactly
+VALUES = st.one_of(
+    st.sampled_from([1e-300, -1e-300, 1 / 3, -1 / 3, 5e-324, -1e300, 1.0]),
+    # bounded so that no sum of duplicates overflows
+    st.floats(-1e300, 1e300),
+)
+
+
+@st.composite
+def triplet_lists(draw):
+    """(d, n, triplets), including empty and zero-row or zero-column shapes,
+    repeated positions and cancelling values."""
+    d = draw(st.integers(0, 6))
+    n = draw(st.integers(0, 6))
+    if d == 0 or n == 0:
+        return d, n, []
+    entry = st.tuples(st.integers(0, d - 1), st.integers(0, n - 1), VALUES)
+    return d, n, draw(st.lists(entry, max_size=30))
+
+
+MATRICES = triplet_lists().map(lambda t: build_csc(t[2], t[0], t[1]))
+
+
+def assert_csc_invariants(A):
+    assert A.col_ptr.dtype == np.int64 and A.row_idx.dtype == np.int64
+    assert A.values.dtype == np.float64
+    assert A.col_ptr.shape == (A.cols + 1,)
+    assert A.col_ptr[0] == 0 and A.col_ptr[-1] == A.nnz == A.row_idx.size == A.values.size
+    assert np.all(np.diff(A.col_ptr) >= 0)
+    for j in range(A.cols):
+        seg = A.row_idx[A.col_ptr[j] : A.col_ptr[j + 1]]
+        assert np.all(np.diff(seg) > 0)  # strictly increasing rows per column
+        assert np.all((seg >= 0) & (seg < A.rows))
+    assert np.all(A.values != 0.0) and np.all(np.isfinite(A.values))
 
 
 class TestBuildCsc:
@@ -39,6 +77,27 @@ class TestBuildCsc:
     def test_out_of_range_names_triplet(self):
         with pytest.raises(ValueError, match=r"\(5, 0, 1\.0\)"):
             build_csc([(0, 0, 2.0), (5, 0, 1.0)], d=2, n=2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(t=triplet_lists())
+    def test_invariants_and_sums(self, t):
+        d, n, trips = t
+        r = np.array([x[0] for x in trips], dtype=np.int64)
+        c = np.array([x[1] for x in trips], dtype=np.int64)
+        v = np.array([x[2] for x in trips], dtype=np.float64)
+        coo = sp.coo_array((v, (r, c)), shape=(d, n))  # unsorted, with duplicates
+        ref = coo.toarray()
+        mass = sp.coo_array((np.abs(v), (r, c)), shape=(d, n)).toarray()
+        for A in (build_csc(trips, d, n), from_scipy(coo)):
+            assert A.shape == (d, n)
+            assert_csc_invariants(A)
+            # duplicates may be summed in another order than scipy's
+            assert np.all(np.abs(A.toarray() - ref) <= 30 * np.finfo(float).eps * mass)
+
+    def test_duplicate_sum_overflow_is_rejected(self):
+        big = np.finfo(float).max
+        with pytest.raises(ValueError, match=r"triplet #0 .* at \(0, 1\) sum to inf"):
+            build_csc([(0, 1, big), (1, 0, 1.0), (0, 1, big)], d=2, n=2)
 
     def test_invariants_on_random_input(self):
         rng = np.random.default_rng(0)
@@ -156,6 +215,21 @@ class TestColumnSubsetMean:
             np.add.at(acc, A.row_idx[lo:hi], A.values[lo:hi])
         np.testing.assert_array_equal(column_subset_mean(A, S), acc / S.size)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_bincount_bit_for_bit(self, data):
+        # unsorted, duplicated subsets; the reference adds each row's entries
+        # in the order of S with bincount
+        A = data.draw(MATRICES.filter(lambda A: A.cols > 0))
+        S = np.array(data.draw(st.lists(st.integers(0, A.cols - 1), min_size=1, max_size=40)))
+        entry = np.concatenate(
+            [np.arange(A.col_ptr[j], A.col_ptr[j + 1]) for j in S] + [np.zeros(0, np.int64)]
+        )
+        ref = np.bincount(A.row_idx[entry], weights=A.values[entry], minlength=A.rows) / S.size
+        got = column_subset_mean(A, S)
+        assert got.dtype == np.float64 and got.shape == (A.rows,)
+        assert got.tobytes() == ref.tobytes()
+
     def test_errors(self):
         A = random_sparse(3, 4, 0.5, seed=4)
         with pytest.raises(ValueError):
@@ -255,6 +329,84 @@ class TestSnapshots:
         B = load_matrix_snapshot(buf)
         assert B.shape == A.shape
         np.testing.assert_array_equal(A.toarray(), B.toarray())
+
+    @settings(max_examples=200, deadline=None)
+    @given(A=MATRICES)
+    @example(A=build_csc([], 0, 3))
+    @example(A=build_csc([], 4, 0))
+    @example(A=build_csc([(0, 0, 1e-300), (1, 0, -1e-300), (1, 2, 1 / 3)], 2, 3))
+    def test_matrix_roundtrip_is_bit_exact(self, A):
+        buf = io.StringIO()
+        save_matrix_snapshot(A, buf)
+        buf.seek(0)
+        B = load_matrix_snapshot(buf)
+        assert B.shape == A.shape
+        for got, want in ((B.col_ptr, A.col_ptr), (B.row_idx, A.row_idx), (B.values, A.values)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("body, line, message", [
+        pytest.param("0 1\n1 1 2\n", 2, "'0 1'", id="two-tokens"),
+        pytest.param("0 0 1\n0 1 2 3\n", 3, "'0 1 2 3'", id="four-tokens"),
+        pytest.param("1.5 0 1\n1 1 2\n", 2, "'1.5 0 1'", id="fractional-row"),
+        pytest.param("0 0 1\n1.0 1 2\n", 3, "'1.0 1 2'", id="float-row"),
+        pytest.param("0 0 1\n\n1 1 2\n", 3, "''", id="blank-line"),
+        pytest.param("\n0 0 1\n1 1 2\n", 2, "''", id="leading-blank-line"),
+        pytest.param("0 0 1\n  \t\n", 3, r"'  \\t'", id="whitespace-line"),
+        pytest.param("# a comment\n0 0 1\n", 2, "'# a comment'", id="comment-line"),
+        pytest.param("0 0 1\n", 3, "end of the file", id="short-body"),
+        pytest.param("0 0 1\n1 1 nan\n", 3, "non-finite value nan", id="nan"),
+        pytest.param("0 0 1\n1 2 2\n", 3, r"\(1, 2, 2\.0\) out of range", id="index-out-of-range"),
+    ])
+    def test_malformed_snapshot_names_line(self, body, line, message):
+        with pytest.raises(ValueError, match=rf"^<text>:{line}: .*{message}") as info:
+            load_matrix_snapshot(io.StringIO("2 2 2\n" + body))
+        assert "\n" not in str(info.value) and "usecols" not in str(info.value)
+
+    @pytest.mark.parametrize("header", ["2 2\n", "2 2 x\n", "2 -1 0\n", "2 2 2 2\n", "\n"])
+    def test_malformed_snapshot_header(self, header):
+        with pytest.raises(ValueError, match=r"^<text>:1: header must be 'd n nnz'$"):
+            load_matrix_snapshot(io.StringIO(header + "0 0 1\n"))
+
+    def test_empty_snapshot_ignores_what_follows(self):
+        A = load_matrix_snapshot(io.StringIO("3 4 0\nnot read\n"))
+        assert A.shape == (3, 4) and A.nnz == 0 and A.col_ptr.tolist() == [0] * 5
+
+    def test_malformed_line_names_the_file(self, tmp_path):
+        path = tmp_path / "A.txt"
+        path.write_text("2 2 1\n0 x 1\n")
+        with open(path) as f, pytest.raises(ValueError, match=rf"^{path}:2: "):
+            load_matrix_snapshot(f)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+        data=st.data(),
+    )
+    def test_dense_block_roundtrip_is_bit_exact(self, shape, data):
+        M = np.array(data.draw(st.lists(VALUES, min_size=shape[0] * shape[1],
+                                        max_size=shape[0] * shape[1])), dtype=np.float64)
+        M = M.reshape(shape)
+        buf = io.StringIO()
+        save_dense_block("M", M, buf)
+        buf.seek(0)
+        name, back = load_dense_block(buf)
+        assert name == "M"
+        assert back.shape == M.shape and back.dtype == np.float64
+        assert back.tobytes() == M.tobytes()
+
+    @pytest.mark.parametrize("text, line, message", [
+        pytest.param("M 2 2\n1 2\n3\n", 3, "expected 2 numbers, got '3'", id="short-row"),
+        pytest.param("M 2 2\n1 2\n3 4 5\n", 3, "expected 2 numbers, got '3 4 5'", id="long-row"),
+        pytest.param("M 2 2\n\n1 2\n", 2, "expected 2 numbers, got ''", id="blank-row"),
+        pytest.param("M 2 2\n1 2\n3 x\n", 3, "expected 2 numbers, got '3 x'", id="not-a-number"),
+        pytest.param("M 2 2\n1 2\n", 3, "end of the file", id="short-body"),
+        pytest.param("M 2 0\n\n7\n", 3, "expected an empty line, got '7'", id="zero-columns-not-empty"),
+        pytest.param("M 2\n", 1, "header must be", id="two-field-header"),
+        pytest.param("M 2 -2\n", 1, "header must be", id="negative-cols"),
+    ])
+    def test_malformed_dense_block_names_line(self, text, line, message):
+        with pytest.raises(ValueError, match=rf"^<text>:{line}: .*{message}"):
+            load_dense_block(io.StringIO(text))
 
     def test_dense_block_roundtrip(self):
         rng = np.random.default_rng(1)
