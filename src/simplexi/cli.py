@@ -282,7 +282,11 @@ def cmd_learn(args: argparse.Namespace) -> int:
         # as learn_simplex reports it: from the factors or from selection
         "rank_deficient": factor_rank_deficient or est.rank_deficient,
     }
-    if truth is not None:
+    if truth is not None and truth[0].shape[1] != est.k:
+        # A k sweep over one instance is a supported run; only the matching needs k to fit
+        print(f"learn: {est.k} estimated vertices against the instance's {truth[0].shape[1]}; "
+              "match.csv not written", file=sys.stderr)
+    elif truth is not None:
         M, sigma = truth
         alpha = compute_alpha(M)
         match = match_vertices(est, M, sigma=sigma, alpha=alpha, delta=cfg.delta)
@@ -480,6 +484,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
             est = load_vertex_estimates(f)
     except (FileNotFoundError, ValueError) as exc:
         print(f"eval: cannot load estimates: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    if est.vertices.shape != inst.M.shape:
+        d, k = est.vertices.shape
+        print(f"eval: estimates hold k={k} vertices of length d={d}; the instance has "
+              f"k={inst.M.shape[1]}, d={inst.M.shape[0]}", file=sys.stderr)
         return USAGE_ERROR
 
     try:

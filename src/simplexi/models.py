@@ -507,12 +507,16 @@ def load_instance_core(directory: str) -> tuple[SparseColMatrix, np.ndarray, dic
 
     The fields are keyed and typed as ``SimplexInstance`` names them
     (sigma, delta, model_tag, seed, params).  Raises ``ValueError`` if a
-    file is malformed or ``meta.txt`` lacks a required key.
+    file is malformed, M's row count differs from A's, or ``meta.txt``
+    lacks a required key.
     """
     with open(os.path.join(directory, "A.txt")) as f:
         A = load_matrix_snapshot(f)
-    with open(os.path.join(directory, "M.txt")) as f:
+    m_path = os.path.join(directory, "M.txt")
+    with open(m_path) as f:
         M = load_dense_block(f)[1]
+    if M.shape[0] != A.rows:
+        raise ValueError(f"{m_path} has {M.shape[0]} rows, but A is {A.rows}x{A.cols}")
     meta: dict[str, str] = {}
     meta_path = os.path.join(directory, "meta.txt")
     with open(meta_path) as f:
@@ -540,15 +544,21 @@ def load_instance_core(directory: str) -> tuple[SparseColMatrix, np.ndarray, dic
 def load_instance(directory: str) -> SimplexInstance:
     """Read an instance directory written by ``save_instance``.
 
-    Raises ``ValueError`` if a file is malformed or ``meta.txt`` lacks a
-    required key.
+    Raises ``ValueError`` if a file is malformed, the shapes of M, P and
+    W do not fit A, or ``meta.txt`` lacks a required key.
     """
     A, M, fields = load_instance_core(directory)
-    with open(os.path.join(directory, "P.txt")) as f:
+    p_path = os.path.join(directory, "P.txt")
+    with open(p_path) as f:
         P = load_dense_block(f)[1]
+    if P.shape != A.shape:
+        raise ValueError(f"{p_path} is {P.shape[0]}x{P.shape[1]}, but A is {A.rows}x{A.cols}")
     W = None
     wpath = os.path.join(directory, "W.txt")
     if os.path.exists(wpath):
         with open(wpath) as f:
             W = load_dense_block(f)[1]
+        if W.shape != (M.shape[1], A.cols):
+            raise ValueError(f"{wpath} is {W.shape[0]}x{W.shape[1]}, "
+                             f"but M has {M.shape[1]} columns and A has {A.cols}")
     return SimplexInstance(M, P, A, W, **fields)

@@ -118,6 +118,55 @@ class TestLearnAndEval:
         ])
         assert code == 2
 
+    def test_k_other_than_instance(self, tmp_path, instance_dir, capsys):
+        # learn writes the estimates without match.csv; eval refuses them as usage
+        learned = tmp_path / "k4"
+        code = main([
+            "learn", "--input", str(instance_dir), "--k", "4", "--delta", "0.1",
+            "--seed", "7", "--out", str(learned),
+        ])
+        assert code == 0
+        assert (learned / "estimates.txt").exists() and (learned / "manifest.txt").exists()
+        assert not (learned / "match.csv").exists()
+        err = capsys.readouterr().err
+        assert err == "learn: 4 estimated vertices against the instance's 3; match.csv not written\n"
+        code = main([
+            "eval", "--instance", str(instance_dir),
+            "--estimates", str(learned / "estimates.txt"), "--out", str(tmp_path / "e"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == ("eval: estimates hold k=4 vertices of length d=25; "
+                       "the instance has k=3, d=25\n")
+
+    def test_eval_estimates_of_other_length_is_usage_error(self, tmp_path, instance_dir, capsys):
+        import numpy as np
+
+        from simplexi.learner import VertexEstimates, save_vertex_estimates
+
+        sets = tuple(np.arange(t, t + 5) for t in range(3))
+        path = tmp_path / "short.txt"
+        with open(path, "w") as f:
+            save_vertex_estimates(VertexEstimates(np.zeros((24, 3)), sets, np.zeros((3, 0))), f)
+        code = main(["eval", "--instance", str(instance_dir), "--estimates", str(path),
+                     "--out", str(tmp_path / "e")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == ("eval: estimates hold k=3 vertices of length d=24; "
+                       "the instance has k=3, d=25\n")
+
+    def test_eval_zero_smoothing_trials(self, tmp_path, instance_dir):
+        learned = tmp_path / "learned"
+        assert main(["learn", "--input", str(instance_dir), "--k", "3", "--delta", "0.1",
+                     "--seed", "7", "--out", str(learned)]) == 0
+        out = tmp_path / "eval"
+        assert main([
+            "eval", "--instance", str(instance_dir),
+            "--estimates", str(learned / "estimates.txt"),
+            "--sample", "20", "--smoothing-trials", "0", "--out", str(out),
+        ]) == 0
+        assert dict(read_csv(out / "eval.csv")[1:])["smoothing_worst_ratio"] == "0"
+
     def test_learn_invalid_k_is_usage_error(self, tmp_path, instance_dir, capsys):
         # k is checked against the shape inside the factorization, on both baselines
         for baseline in ("sketch", "power_iteration"):

@@ -14,6 +14,7 @@ import simplexi.learner as learner_mod
 from simplexi.learner import (
     LearnerConfig,
     LearnerError,
+    VertexEstimates,
     compute_factors,
     learn_simplex,
     load_vertex_estimates,
@@ -322,3 +323,30 @@ class TestEstimateSerialization:
         back = load_vertex_estimates(buf)
         np.testing.assert_array_equal(est.vertices, back.vertices)
         assert all(np.array_equal(a, b) for a, b in zip(est.index_sets, back.index_sets))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    @example(data=None)
+    def test_roundtrip_is_exact(self, data):
+        if data is None:  # the signed zeros, the subnormal extremes and +-1e300
+            values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e300, 1 / 3]
+            V = np.array(values).reshape(4, 2)
+            sets = (np.array([7, 0, 2**62]), np.array([1, 1, 3]))
+        else:
+            k = data.draw(st.integers(1, 4))
+            d = data.draw(st.integers(0, 5))
+            s = data.draw(st.integers(0, 6))
+            finite = st.floats(allow_nan=False, allow_infinity=False)
+            V = np.array(data.draw(st.lists(finite, min_size=d * k, max_size=d * k)),
+                         dtype=np.float64).reshape(d, k)
+            index = st.lists(st.integers(0, 2**63 - 1), min_size=s, max_size=s)
+            sets = tuple(np.array(data.draw(index), dtype=np.int64) for _ in range(k))
+        buf = io.StringIO()
+        save_vertex_estimates(VertexEstimates(V, sets, np.zeros((V.shape[1], 0))), buf)
+        buf.seek(0)
+        back = load_vertex_estimates(buf)
+        assert back.vertices.shape == V.shape
+        assert back.vertices.tobytes() == V.tobytes()  # bit for bit, signs of zero included
+        assert len(back.index_sets) == len(sets)
+        for a, b in zip(back.index_sets, sets):
+            assert a.dtype == np.int64 and np.array_equal(a, b)

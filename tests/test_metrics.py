@@ -2,9 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexi.learner import LearnerConfig, learn_simplex
 from simplexi.metrics import (
+    _smoothing_subsets,
+    _subset_deviations,
     ls_loss,
     match_vertices,
     project_columns_to_simplex,
@@ -175,6 +179,44 @@ class TestReductionCheck:
         assert res1.spectral_residual == pytest.approx(res2.spectral_residual, rel=1e-9)
 
 
+def _loop_draws(n, trials, seed):
+    """The subsets the per-subset check drew: log-uniform sizes, each
+    drawn without replacement, in call order."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(trials):
+        size = int(np.exp(rng.uniform(0.0, np.log(n))))
+        size = min(max(size, 1), n)
+        out.append(rng.choice(n, size=size, replace=False))
+    return out
+
+
+def _loop_deviation(Ad, P, S):
+    """||mean_S(A) - mean_S(P)|| sqrt(|S| / n), summing A - P column by
+    column in the order of S."""
+    acc = np.zeros(Ad.shape[0])
+    for j in S:
+        acc += Ad[:, j] - P[:, j]
+    return np.linalg.norm(acc) / S.size * np.sqrt(S.size / Ad.shape[1])
+
+
+def _rtol(d):
+    # The sums agree bit for bit; the two norms add d squares in different orders.
+    return 4 * (d + 2) * np.finfo(np.float64).eps
+
+
+_ENTRY = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@st.composite
+def _dense_pair(draw):
+    """(A, P) as d x n arrays; A has zero entries and often empty columns."""
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 9))
+    blocks = [draw(st.lists(_ENTRY, min_size=d * n, max_size=d * n)) for _ in range(2)]
+    return tuple(np.array(b, dtype=np.float64).reshape(d, n) for b in blocks)
+
+
 class TestSubsetSmoothing:
     def test_exact_match_ratio_zero(self):
         P = np.random.default_rng(0).standard_normal((6, 40))
@@ -202,6 +244,61 @@ class TestSubsetSmoothing:
         diff = column_subset_mean(A, np.arange(80)) - P.mean(axis=1)
         ratio = np.linalg.norm(diff) * np.sqrt(80 / 80) / sigma
         assert ratio <= 1.0 + 1e-9
+
+    def test_no_trials_ratio_zero(self):
+        P = np.ones((4, 10))
+        A = dense_to_csc(2 * P)
+        for trials in (0, -3):
+            assert subset_smoothing_check(A, P, sigma=1.0, trials=trials, seed=0) == 0.0
+
+    def test_zero_sigma(self):
+        P = np.random.default_rng(3).standard_normal((5, 30))
+        assert subset_smoothing_check(dense_to_csc(P + 1e-3), P, sigma=0.0, trials=20) == np.inf
+        assert subset_smoothing_check(dense_to_csc(P), P, sigma=0.0, trials=20) == 0.0
+
+    def test_wrong_p_shape_raises(self):
+        A = random_sparse(6, 20, 0.3, seed=1)
+        for shape in ((6, 21), (20, 6), (6,)):
+            for trials in (0, 10):
+                with pytest.raises(ValueError, match="shape mismatch"):
+                    subset_smoothing_check(A, np.zeros(shape), sigma=1.0, trials=trials)
+
+    def test_empty_columns_match_loop(self):
+        A = random_sparse(6, 50, 0.05, seed=4)
+        Ad = A.toarray()
+        assert np.any(~Ad.any(axis=0))  # some columns hold no entry
+        P = np.random.default_rng(5).uniform(0, 0.1, (6, 50))
+        got = subset_smoothing_check(A, P, sigma=0.5, trials=200, seed=6)
+        want = max(_loop_deviation(Ad, P, S) for S in _loop_draws(50, 200, 6)) / 0.5
+        assert got == pytest.approx(want, rel=_rtol(6), abs=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=st.data())
+    def test_batched_deviations_match_loop(self, case):
+        Ad, P = case.draw(_dense_pair())
+        d, n = Ad.shape
+        prefixes = st.tuples(st.permutations(range(n)), st.integers(1, n))
+        drawn = case.draw(st.lists(prefixes, max_size=6))
+        # the whole set in reverse, one column, then unsorted subsets of any size
+        subsets = [np.arange(n)[::-1], np.array([n - 1])]
+        subsets += [np.array(perm[:m], dtype=np.int64) for perm, m in drawn]
+        got = _subset_deviations(dense_to_csc(Ad), P, subsets)
+        want = [_loop_deviation(Ad, P, S) for S in subsets]
+        np.testing.assert_allclose(got, want, rtol=_rtol(d), atol=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=st.data(), trials=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           sigma=st.floats(1e-3, 1e3))
+    def test_check_is_worst_loop_ratio_of_same_draws(self, case, trials, seed, sigma):
+        Ad, P = case.draw(_dense_pair())
+        d, n = Ad.shape
+        drawn = _loop_draws(n, trials, seed)
+        subsets = _smoothing_subsets(n, trials, seed)
+        assert len(subsets) == trials
+        assert all(np.array_equal(a, b) for a, b in zip(subsets, drawn))
+        got = subset_smoothing_check(dense_to_csc(Ad), P, sigma, trials=trials, seed=seed)
+        want = max(_loop_deviation(Ad, P, S) for S in drawn) / sigma
+        assert got == pytest.approx(want, rel=_rtol(d), abs=0)
 
     def test_learner_pipeline_smoke(self):
         # end-to-end: loss of recovered vertices beats random vertices

@@ -14,7 +14,7 @@ from simplexi.models import (
     save_instance,
 )
 from simplexi.sketch import singular_values
-from simplexi.sparsemat import build_csc
+from simplexi.sparsemat import build_csc, save_dense_block
 
 from conftest import dense_to_csc
 
@@ -353,3 +353,18 @@ class TestInstanceIO:
         assert back.model_tag == inst.model_tag
         assert back.seed == inst.seed
         assert back.params["m"] == 30
+
+    @pytest.mark.parametrize("name, shape, message", [
+        ("M", (19, 3), "has 19 rows, but A is 20x40"),
+        ("P", (20, 39), "is 20x39, but A is 20x40"),
+        ("W", (2, 40), "is 2x40, but M has 3 columns and A has 40"),
+    ])
+    def test_block_shape_must_fit_a(self, tmp_path, name, shape, message):
+        inst = gen_lda(d=20, n=40, k=3, m=30, seed=23)
+        save_instance(inst, str(tmp_path / "inst"))
+        path = tmp_path / "inst" / f"{name}.txt"
+        with open(path, "w") as f:
+            save_dense_block(name, np.zeros(shape), f)
+        with pytest.raises(ValueError) as info:
+            load_instance(str(tmp_path / "inst"))
+        assert str(info.value) == f"{path} {message}"
