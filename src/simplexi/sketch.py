@@ -138,8 +138,14 @@ def _cholqr2(X: np.ndarray) -> np.ndarray | None:
     is not safely positive definite or the first pass left more than a
     trace of non-orthogonality, in which case the caller should fall
     back to a rank-revealing factorization.
+
+    Each pass multiplies X by the inverse of the small triangular factor
+    (LAPACK ``trtri``) rather than solving against X: scipy's OpenBLAS
+    threads a triangular solve of any size, even 9 x 9, and its idle
+    workers then spin on the second core while the caller's next
+    single-threaded stage runs.
     """
-    from scipy.linalg import solve_triangular
+    from scipy.linalg.lapack import dtrtri
 
     for attempt in range(2):
         G = X.T @ X
@@ -147,7 +153,10 @@ def _cholqr2(X: np.ndarray) -> np.ndarray | None:
             L = np.linalg.cholesky(G)
         except np.linalg.LinAlgError:
             return None
-        X = solve_triangular(L, X.T, lower=True, check_finite=False).T
+        L_inv, info = dtrtri(L, lower=1)
+        if info != 0:
+            return None
+        X = X @ L_inv.T
         if attempt == 1 and np.abs(G - np.eye(G.shape[0])).max() > 1e-4:
             return None  # first pass too degraded for the correction
     return np.ascontiguousarray(X)
@@ -250,7 +259,9 @@ def mixed_lra(
     kk = min(k, positive)
     if kk == 0:
         return RankKFactors(np.zeros((d, 0)), np.zeros((n, 0)), 0, True, Q.shape[1])
-    V = vecs[:, :kk]
+    # contiguous: numpy's OpenBLAS threads the n x r by r x kk product when
+    # V is a strided view, and its idle workers then spin on the second core
+    V = np.ascontiguousarray(vecs[:, :kk])
     Y = Q @ V
     # Z^T = Y^T A, so B = Y Z^T projects A onto span(Y); A^T Y = (A^T Q) V
     Z = Wt @ V if Wt is not None else np.asarray(A._scipy.T @ Y)
