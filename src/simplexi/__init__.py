@@ -38,9 +38,7 @@ from .sketch import (
     PowerIterationResult,
     RankKFactors,
     RankRestoreError,
-    SvdTriple,
     apply_countsketch,
-    exact_topk_svd,
     make_countsketch,
     mixed_lra,
     subspace_power,

@@ -14,6 +14,7 @@ resolves flag > SIMPLEXI_SEED > config file > default.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
@@ -282,11 +283,16 @@ def cmd_learn(args: argparse.Namespace) -> int:
         # as learn_simplex reports it: from the factors or from selection
         "rank_deficient": factor_rank_deficient or est.rank_deficient,
     }
-    if truth is not None and truth[0].shape[1] != est.k:
-        # A k sweep over one instance is a supported run; only the matching needs k to fit
-        print(f"learn: {est.k} estimated vertices against the instance's {truth[0].shape[1]}; "
-              "match.csv not written", file=sys.stderr)
-    elif truth is not None:
+    match_path = os.path.join(out, "match.csv")
+    if truth is None or truth[0].shape[1] != est.k:
+        if truth is not None:
+            # A k sweep over one instance is a supported run; only the matching needs k to fit
+            print(f"learn: {est.k} estimated vertices against the instance's "
+                  f"{truth[0].shape[1]}; match.csv not written", file=sys.stderr)
+        # an earlier run's match.csv in a reused --out would read as this run's
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(match_path)
+    else:
         M, sigma = truth
         alpha = compute_alpha(M)
         match = match_vertices(est, M, sigma=sigma, alpha=alpha, delta=cfg.delta)
@@ -295,7 +301,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
                 ["within_bound", str(match.within_bound).lower()]]
         rows += [[f"error_vertex_{t}", _fmt(e)] for t, e in enumerate(match.per_vertex_error)]
         rows += [[f"match_{t}", str(int(p))] for t, p in enumerate(match.permutation)]
-        _write_csv(os.path.join(out, "match.csv"), ["metric", "value"], rows)
+        _write_csv(match_path, ["metric", "value"], rows)
     _write_manifest(out, resolved)
     return 0
 
@@ -533,8 +539,13 @@ def _eval_sweep(inst, sweep_dir: str, out: str, sample: int, seed: int) -> int:
     for name in sorted(os.listdir(sweep_dir)):
         if not name.endswith(".txt"):
             continue
-        with open(os.path.join(sweep_dir, name)) as f:
-            est = load_vertex_estimates(f)
+        path = os.path.join(sweep_dir, name)
+        try:
+            with open(path) as f:
+                est = load_vertex_estimates(f)
+        except ValueError as exc:
+            print(f"eval: cannot load estimates {path}: {exc}", file=sys.stderr)
+            return USAGE_ERROR
         dn = est.index_sets[0].size if est.index_sets else 0
         loss = ls_loss(inst.A, est, sample=min(sample, inst.A.cols), seed=seed)
         rows.append((est.k, dn, loss, name))

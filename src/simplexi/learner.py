@@ -151,12 +151,12 @@ def compute_factors(A: SparseColMatrix, cfg: LearnerConfig):
     seed_fac, _ = _seeds(cfg)
     if cfg.baseline == "power_iteration":
         T = default_power_iters(d, cfg.power_multiplier)
-        res = subspace_power(A, cfg.k, T, seed=seed_fac)
+        # the residual probe's gap ratio is not used here, so skip its passes
+        res = subspace_power(A, cfg.k, T, seed=seed_fac, probe_iters=0)
         Y = res.basis
         Z = np.asarray(A._scipy.T @ Y)
         return Y, Z, res.redraws > 0
-    c = cfg.sketch_cols if cfg.sketch_cols is not None else cfg.k * cfg.k
-    fac = mixed_lra(A, cfg.k, c=c, seed=seed_fac)
+    fac = mixed_lra(A, cfg.k, c=cfg.sketch_cols, seed=seed_fac)
     return fac.Y, fac.Z, fac.rank_deficient
 
 

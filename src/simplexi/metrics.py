@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
 
 from .learner import VertexEstimates
-from .sketch import DENSE_ORACLE_LIMIT, svd_tail_norms
+from .sketch import svd_tail_norms
 from .sparsemat import (
     LinearOp,
     SparseColMatrix,
@@ -171,18 +171,12 @@ def reduction_check(A: SparseColMatrix, est: VertexSource, k: int) -> ReductionC
     ||A - A_k||_2^2 + n^(-1/3) ||A - A_k||_F^2 (dense oracle)."""
     V = _vertex_matrix(est)
     d, n = A.shape
-    basis = orthonormalize(V)
+    Q = orthonormalize(V).cols
     spec_tail, frob_tail_sq = svd_tail_norms(A, k)
     bound = spec_tail**2 + frob_tail_sq / float(n) ** (1.0 / 3.0)
     floor = 1e-12 * float(np.sum(A.values * A.values))  # rounding allowance
 
-    if basis.is_empty:
-        top = spectral_norm_est(A, tol=1e-9, seed=0).value
-        residual = top * top
-        return ReductionCheck(residual, bound, bool(residual <= bound + floor))
-
-    Q = basis.cols
-    if min(d, n) <= DENSE_ORACLE_LIMIT and d * n <= 50_000_000:
+    if d * n <= 50_000_000:
         Ad = A.toarray()
         R = Ad - Q @ (Q.T @ Ad)
         residual = float(np.linalg.svd(R, compute_uv=False)[0]) ** 2

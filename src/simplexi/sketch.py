@@ -7,16 +7,16 @@ count exceeds what the final rank needs, and extracts the best rank-k
 factors of the projected matrix through a small eigendecomposition.
 A is read twice: once by the O(nnz + d c) sketch scatter and once, at
 nnz times the working rank, for the projected Gram matrix, whose n x r
-product also yields the Z factor.  The slow exact truncated SVD lives
-here too, as the test oracle, together with the classical subspace
-power iteration used as the comparison baseline.
+product also yields the Z factor.  The exact dense singular values live
+here too, as the oracle for the top-k mass assumption and the rank-k
+tail budget of the reduction check, together with the classical
+subspace power iteration used as the comparison baseline.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -25,13 +25,11 @@ from .sparsemat import SparseColMatrix
 __all__ = [
     "CountSketch",
     "RankKFactors",
-    "SvdTriple",
     "PowerIterationResult",
     "RankRestoreError",
     "make_countsketch",
     "apply_countsketch",
     "mixed_lra",
-    "exact_topk_svd",
     "svd_tail_norms",
     "singular_values",
     "subspace_power",
@@ -70,15 +68,6 @@ class RankKFactors:
     k: int
     rank_deficient: bool = False
     basis_rank: int = 0
-
-
-@dataclass(frozen=True)
-class SvdTriple:
-    """Truncated SVD factors: U (d x k), nonincreasing S, V (n x k)."""
-
-    U: np.ndarray
-    S: np.ndarray
-    V: np.ndarray
 
 
 def make_countsketch(n: int, c: int, seed: int) -> CountSketch:
@@ -268,101 +257,44 @@ def mixed_lra(
     return RankKFactors(Y, Z, kk, kk < k, Q.shape[1])
 
 
-def _gram_eigs(A: Union[SparseColMatrix, np.ndarray]) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Spectrum of A via the dense path of the smaller side, descending.
+def _squared_singular_values(A: SparseColMatrix) -> np.ndarray:
+    """Squared singular values of A, nonincreasing, via a dense path.
 
-    Returns (squared singular values, singular vectors, left_side) where
-    ``left_side`` says the vectors live on the row (d) side.  Small
-    inputs use a direct bidiagonal SVD (full eps accuracy on tiny
-    singular values); larger ones fall back to the min(d, n)-sized Gram
-    matrix, whose small values are only resolved to sqrt(eps).
+    Small inputs use a direct bidiagonal SVD (full eps accuracy on tiny
+    singular values); larger ones take the eigenvalues of the
+    min(d, n)-sized Gram matrix, whose small values are only resolved to
+    sqrt(eps).
     """
     d, n = A.shape
     if min(d, n) > DENSE_ORACLE_LIMIT:
         raise ValueError(
             f"exact SVD refused: min(d, n) = {min(d, n)} exceeds {DENSE_ORACLE_LIMIT}"
         )
-    left = d <= n
     if d * n <= 4_000_000:
-        Ad = A.toarray() if isinstance(A, SparseColMatrix) else np.asarray(A, dtype=np.float64)
-        U, s, Vt = np.linalg.svd(Ad, full_matrices=False)
-        return s * s, (U if left else Vt.T), left
-    if isinstance(A, SparseColMatrix):
-        density = A.nnz / max(1, d * n)
-        if density >= 0.2 and d * n <= 50_000_000:
-            Ad = A.toarray()
-            G = Ad @ Ad.T if left else Ad.T @ Ad
-        else:
-            M = A._scipy
-            G = (M @ M.T).toarray() if left else (M.T @ M).toarray()
+        s = np.linalg.svd(A.toarray(), compute_uv=False)
+        return s * s
+    left = d <= n
+    if A.nnz / (d * n) >= 0.2 and d * n <= 50_000_000:
+        Ad = A.toarray()
+        G = Ad @ Ad.T if left else Ad.T @ Ad
     else:
-        M = np.asarray(A, dtype=np.float64)
-        G = M @ M.T if left else M.T @ M
+        M = A._scipy
+        G = (M @ M.T).toarray() if left else (M.T @ M).toarray()
     G = 0.5 * (G + G.T)
-    lam, vecs = np.linalg.eigh(G)
-    order = np.argsort(lam)[::-1]
-    return np.maximum(lam[order], 0.0), vecs[:, order], left
+    return np.maximum(np.linalg.eigvalsh(G)[::-1], 0.0)
 
 
-def _other_factor(
-    A: Union[SparseColMatrix, np.ndarray], W: np.ndarray, s: np.ndarray, left: bool
-) -> np.ndarray:
-    """Recover the second SVD factor; degenerate directions are completed
-    with a deterministic orthonormal fill (valid for zero singular values)."""
-    M = A._scipy if isinstance(A, SparseColMatrix) else np.asarray(A, dtype=np.float64)
-    other_dim = M.shape[1] if left else M.shape[0]
-    k = s.size
-    out = np.zeros((other_dim, k))
-    cutoff = (s[0] if k else 0.0) * 1e-13
-    good = s > cutoff
-    if np.any(good):
-        prod = np.asarray(M.T @ W[:, good]) if left else np.asarray(M @ W[:, good])
-        out[:, good] = prod / s[good]
-    if not np.all(good):
-        rng = np.random.default_rng(0)
-        for j in np.flatnonzero(~good):
-            v = rng.standard_normal(other_dim)
-            for _ in range(3):
-                v -= out @ (out.T @ v)
-            out[:, j] = v / np.linalg.norm(v)
-    # polish mild orthogonality loss from the Gram squaring
-    err = np.abs(out.T @ out - np.eye(k)).max() if k else 0.0
-    if err > 1e-9:
-        Qp, Rp = np.linalg.qr(out)
-        out = Qp * np.sign(np.diag(Rp))
-    return out
-
-
-def exact_topk_svd(A: Union[SparseColMatrix, np.ndarray], k: int) -> SvdTriple:
-    """Exact truncated SVD via the smaller dense Gram matrix.
-
-    This is the test oracle, not the fast path: it refuses inputs whose
-    smaller dimension exceeds ``DENSE_ORACLE_LIMIT``.
-    """
-    shape = A.shape
-    if not 1 <= k <= min(shape):
-        raise ValueError(f"k={k} out of range for shape {shape}")
-    lam, vecs, left = _gram_eigs(A)
-    s = np.sqrt(lam[:k])
-    W = vecs[:, :k]
-    other = _other_factor(A, W, s, left)
-    if left:
-        return SvdTriple(W, s, other)
-    return SvdTriple(other, s, W)
-
-
-def svd_tail_norms(A: Union[SparseColMatrix, np.ndarray], k: int) -> tuple[float, float]:
+def svd_tail_norms(A: SparseColMatrix, k: int) -> tuple[float, float]:
     """(sigma_{k+1}, ||A - A_k||_F^2) from the full Gram spectrum."""
-    lam, _, _ = _gram_eigs(A)
+    lam = _squared_singular_values(A)
     spec_tail = float(np.sqrt(lam[k])) if k < lam.size else 0.0
     frob_tail_sq = float(np.sum(lam[k:])) if k < lam.size else 0.0
     return spec_tail, frob_tail_sq
 
 
-def singular_values(A: Union[SparseColMatrix, np.ndarray]) -> np.ndarray:
+def singular_values(A: SparseColMatrix) -> np.ndarray:
     """All min(d, n) singular values, nonincreasing, via the dense Gram side."""
-    lam, _, _ = _gram_eigs(A)
-    return np.sqrt(lam)
+    return np.sqrt(_squared_singular_values(A))
 
 
 @dataclass(frozen=True)

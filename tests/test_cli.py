@@ -139,6 +139,13 @@ class TestLearnAndEval:
         assert err == ("eval: estimates hold k=4 vertices of length d=25; "
                        "the instance has k=3, d=25\n")
 
+    def test_reused_out_drops_stale_match_csv(self, tmp_path, instance_dir):
+        out = tmp_path / "learned"
+        for k in ("3", "4"):
+            assert main(["learn", "--input", str(instance_dir), "--k", k, "--delta", "0.1",
+                         "--seed", "7", "--out", str(out)]) == 0
+            assert (out / "match.csv").exists() == (k == "3")
+
     def test_eval_estimates_of_other_length_is_usage_error(self, tmp_path, instance_dir, capsys):
         import numpy as np
 
@@ -154,6 +161,17 @@ class TestLearnAndEval:
         err = capsys.readouterr().err
         assert err == ("eval: estimates hold k=3 vertices of length d=24; "
                        "the instance has k=3, d=25\n")
+
+    def test_eval_sweep_malformed_file_is_usage_error(self, tmp_path, instance_dir, capsys):
+        sweep = tmp_path / "sweep"
+        sweep.mkdir()
+        bad = sweep / "est_k3_dn40.txt"
+        bad.write_text("3 25 1\n1\n2\n")
+        code = main(["eval", "--instance", str(instance_dir), "--sweep-estimates", str(sweep),
+                     "--out", str(tmp_path / "e")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"eval: cannot load estimates {bad}: ") and err.count("\n") == 1
 
     def test_eval_zero_smoothing_trials(self, tmp_path, instance_dir):
         learned = tmp_path / "learned"

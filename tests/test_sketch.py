@@ -5,9 +5,9 @@ import pytest
 import scipy.sparse as sp
 
 import simplexi.sketch as sketch_mod
+from simplexi.models import gen_bernoulli
 from simplexi.sketch import (
     apply_countsketch,
-    exact_topk_svd,
     make_countsketch,
     mixed_lra,
     singular_values,
@@ -106,24 +106,26 @@ class TestApplyCountsketch:
 
 
 class TestExactTopkSvd:
+    """The dense spectrum oracle: ``singular_values`` and ``svd_tail_norms``."""
+
     def test_diagonal(self):
         A = dense_to_csc(np.diag([3.0, 2.0, 1.0]))
-        tri = exact_topk_svd(A, 2)
-        np.testing.assert_allclose(tri.S, [3.0, 2.0], rtol=1e-12)
+        np.testing.assert_allclose(singular_values(A), [3.0, 2.0, 1.0], rtol=1e-12)
 
     def test_rank_one(self):
         u = np.array([1.0, 2.0, 2.0])
         v = np.array([3.0, 4.0])
-        tri = exact_topk_svd(dense_to_csc(np.outer(u, v)), 1)
-        assert tri.S[0] == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v), rel=1e-12)
+        s = singular_values(dense_to_csc(np.outer(u, v)))
+        assert s[0] == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v), rel=1e-12)
+        assert s[1] <= 1e-12 * s[0]
 
     def test_golden_ratio_singular_values(self):
         # eigenvalues of A^T A for [[1,1],[0,1]] are (3 +- sqrt(5)) / 2
         A = dense_to_csc([[1.0, 1.0], [0.0, 1.0]])
-        tri = exact_topk_svd(A, 2)
+        s = singular_values(A)
         phi = (1.0 + np.sqrt(5.0)) / 2.0
-        np.testing.assert_allclose(tri.S, [phi, 1.0 / phi], rtol=1e-12)
-        np.testing.assert_allclose(tri.S, [1.618034, 0.618034], atol=5e-7)
+        np.testing.assert_allclose(s, [phi, 1.0 / phi], rtol=1e-12)
+        np.testing.assert_allclose(s, [1.618034, 0.618034], atol=5e-7)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_lapack_reference(self, seed):
@@ -131,27 +133,31 @@ class TestExactTopkSvd:
         d, n = int(rng.integers(5, 40)), int(rng.integers(5, 40))
         Ad = rng.standard_normal((d, n))
         k = int(rng.integers(1, min(d, n)))
-        tri = exact_topk_svd(dense_to_csc(Ad), k)
-        ref = np.linalg.svd(Ad, compute_uv=False)[:k]
-        np.testing.assert_allclose(tri.S, ref, rtol=1e-9)
-        np.testing.assert_allclose(tri.U.T @ tri.U, np.eye(k), atol=1e-8)
-        np.testing.assert_allclose(tri.V.T @ tri.V, np.eye(k), atol=1e-8)
-        # factors reconstruct the best rank-k approximation
-        ref_full = np.linalg.svd(Ad)
-        best = (ref_full[0][:, :k] * ref_full[1][:k]) @ ref_full[2][:k]
-        np.testing.assert_allclose((tri.U * tri.S) @ tri.V.T, best, atol=1e-8)
+        A = dense_to_csc(Ad)
+        ref = np.linalg.svd(Ad, compute_uv=False)
+        np.testing.assert_allclose(singular_values(A), ref, rtol=1e-9)
+        spec, frob_sq = svd_tail_norms(A, k)
+        assert spec == pytest.approx(ref[k], rel=1e-9)
+        assert frob_sq == pytest.approx(float(np.sum(ref[k:] ** 2)), rel=1e-9)
 
-    def test_rank_deficient_completion_stays_orthonormal(self):
-        A = dense_to_csc(np.outer([1.0, 0.0, 0.0], [1.0, 1.0, 1.0]))
-        tri = exact_topk_svd(A, 3)
-        assert tri.S[0] > 0 and tri.S[1] <= 1e-12
-        np.testing.assert_allclose(tri.U.T @ tri.U, np.eye(3), atol=1e-8)
-        np.testing.assert_allclose(tri.V.T @ tri.V, np.eye(3), atol=1e-8)
+    @pytest.mark.parametrize("p", [0.3, 0.01])
+    def test_gram_routes_match_lapack_reference(self, p):
+        # d * n above the direct-SVD size: p = 0.3 takes the dense Gram
+        # product, p = 0.01 the sparse one
+        A = gen_bernoulli(2001, 2100, p, seed=11)
+        ref = np.linalg.svd(A.toarray(), compute_uv=False)
+        s = singular_values(A)
+        # the Gram route resolves singular values only down to sqrt(eps) * sigma_1
+        resolved = ref > 1e-6 * ref[0]
+        np.testing.assert_allclose(s[resolved], ref[resolved], rtol=1e-10)
+        np.testing.assert_allclose(s, ref, rtol=0, atol=1e-6 * ref[0])
 
     def test_refuses_oversized_input(self):
         A = build_csc([(0, 0, 1.0)], 4100, 4100)
         with pytest.raises(ValueError, match="refused"):
-            exact_topk_svd(A, 1)
+            singular_values(A)
+        with pytest.raises(ValueError, match="refused"):
+            svd_tail_norms(A, 1)
 
     def test_tail_norms(self):
         s = np.array([4.0, 3.0, 2.0, 1.0])
