@@ -547,7 +547,11 @@ def _eval_sweep(inst, sweep_dir: str, out: str, sample: int, seed: int) -> int:
             print(f"eval: cannot load estimates {path}: {exc}", file=sys.stderr)
             return USAGE_ERROR
         dn = est.index_sets[0].size if est.index_sets else 0
-        loss = ls_loss(inst.A, est, sample=min(sample, inst.A.cols), seed=seed)
+        try:
+            loss = ls_loss(inst.A, est, sample=min(sample, inst.A.cols), seed=seed)
+        except ValueError as exc:
+            print(f"eval: {path}: {exc}", file=sys.stderr)
+            return USAGE_ERROR
         rows.append((est.k, dn, loss, name))
     if not rows:
         print(f"eval: no estimate files in {sweep_dir}", file=sys.stderr)

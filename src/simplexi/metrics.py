@@ -142,6 +142,8 @@ def ls_loss(
     """
     V = _vertex_matrix(vertices)
     d, n = A.shape
+    if V.shape[0] != d:
+        raise ValueError(f"vertices have length {V.shape[0]}, the instance has d={d}")
     if not 1 <= sample <= n:
         raise ValueError(f"sample={sample} out of range for n={n}")
     rng = np.random.default_rng(seed)

@@ -5,12 +5,14 @@ CountSketch (one signed bucket per column) into a dense d x c block,
 compresses that block with a small Gaussian test matrix when the bucket
 count exceeds what the final rank needs, and extracts the best rank-k
 factors of the projected matrix through a small eigendecomposition.
-A is read twice: once by the O(nnz + d c) sketch scatter and once, at
-nnz times the working rank, for the projected Gram matrix, whose n x r
-product also yields the Z factor.  The exact dense singular values live
-here too, as the oracle for the top-k mass assumption and the rank-k
-tail budget of the reduction check, together with the classical
-subspace power iteration used as the comparison baseline.
+A is read twice: once by the O(nnz + d c) sketch scatter, which adds
+fixed blocks of 2^18 entries into one d x c accumulator and equals the
+sparse product A S exactly, and once, at nnz times the working rank,
+for the projected Gram matrix, whose n x r product also yields the Z
+factor.  The exact dense singular values live here too, as the oracle
+for the top-k mass assumption and the rank-k tail budget of the
+reduction check, together with the classical subspace power iteration
+used as the comparison baseline.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
 ]
 
 DENSE_ORACLE_LIMIT = 4000  # refuse the exact SVD when min(d, n) exceeds this
+_BLOCK_ENTRIES = 1 << 18  # entries of A per CountSketch scatter block
 
 
 class RankRestoreError(RuntimeError):
@@ -84,17 +87,17 @@ def apply_countsketch(A: SparseColMatrix, S: CountSketch) -> np.ndarray:
     """Scatter the columns of A into the sketch buckets: returns d x c dense.
 
     Column j is added, multiplied by sign_j, into output column
-    bucket_j.  Runtime is O(nnz(A) + d * c).  The scatter fills a
-    bucket-major c x d buffer, so one column's entries land in one
-    d-long row of it, and walks blocks of whole columns holding at most
-    max(2^18, d * c) entries each.  Each block pays one d * c
-    ``bincount`` output, so with blocks at least that large the output
-    cost is paid about once for the whole matrix rather than once per
-    2^18 entries.  Each block's end is found in ``col_ptr`` by one
-    binary search, so Python does one step per block and no work per
-    column.  Each output entry adds its terms in column order.  The
-    result is the transposed view of the c x d buffer, so it is
-    F-ordered.
+    bucket_j.  Runtime is O(nnz(A) + d * c).  Every entry is added with
+    ``np.add.at`` straight into one bucket-major c x d accumulator, so
+    one column's entries land in one d-long row of it.  The pass walks
+    blocks of whole columns holding at most 2^18 entries each (a column
+    longer than that is a block of its own), so its temporaries stay
+    block-sized whatever nnz(A) and c are; each block's end is found in
+    ``col_ptr`` by one binary search, so Python does one step per block
+    and no work per column.  Each output entry adds its terms one by
+    one in column order, so the result equals the sparse product A S
+    exactly.  The result is the transposed view of the c x d
+    accumulator, so it is F-ordered.
     """
     if S.input_dim != A.cols:
         raise ValueError(
@@ -102,20 +105,19 @@ def apply_countsketch(A: SparseColMatrix, S: CountSketch) -> np.ndarray:
         )
     d, c = A.rows, S.sketch_dim
     counts = A.column_nnz()
-    block_entries = max(1 << 18, d * c)
     out = np.zeros(c * d)
     j0 = 0
     while j0 < A.cols:
         lo = A.col_ptr[j0]
-        # a column holds at most d <= block_entries entries, so j1 > j0
-        j1 = int(np.searchsorted(A.col_ptr, lo + block_entries, side="right")) - 1
+        j1 = int(np.searchsorted(A.col_ptr, lo + _BLOCK_ENTRIES, side="right")) - 1
+        j1 = max(j0 + 1, j1)
         hi = A.col_ptr[j1]
-        if hi > lo:
-            col_of = np.repeat(np.arange(j0, j1), counts[j0:j1])
-            flat = S.bucket[col_of] * d + A.row_idx[lo:hi]
-            out += np.bincount(
-                flat, weights=A.values[lo:hi] * S.sign[col_of], minlength=c * d
-            )
+        flat = np.repeat(S.bucket[j0:j1] * d, counts[j0:j1])
+        flat += A.row_idx[lo:hi]
+        w = np.repeat(S.sign[j0:j1], counts[j0:j1])
+        w *= A.values[lo:hi]
+        np.add.at(out, flat, w)
+        del flat, w  # free this block's arrays before the next block's exist
         j0 = j1
     return out.reshape(c, d).T
 
@@ -215,10 +217,11 @@ def mixed_lra(
     small Gram matrix Q^T A A^T Q; return Y (those directions) and
     Z = A^T Y.
 
-    Cost: one O(nnz(A) + d * c) scatter for the sketch, one nnz(A) * r
-    pass for A^T Q (r is the working rank), whose product with the
-    top-k eigenvectors is Z on that route, and a d x c dense block, that
-    is d * k^2 at the default width.  On the d x d Gram route used for
+    Cost: one O(nnz(A) + d * c) scatter for the sketch, which adds fixed
+    blocks of 2^18 entries of A into one d x c accumulator (d * k^2 at
+    the default width) and equals A S exactly; one nnz(A) * r pass for
+    A^T Q (r is the working rank), whose product with the top-k
+    eigenvectors is Z on that route.  On the d x d Gram route used for
     hyper-sparse input, Z takes one more sparse pass.
     """
     d, n = A.shape

@@ -173,6 +173,26 @@ class TestLearnAndEval:
         err = capsys.readouterr().err
         assert err.startswith(f"eval: cannot load estimates {bad}: ") and err.count("\n") == 1
 
+    def test_eval_sweep_estimates_of_other_length_is_usage_error(
+        self, tmp_path, instance_dir, capsys
+    ):
+        import numpy as np
+
+        from simplexi.learner import VertexEstimates, save_vertex_estimates
+
+        sweep = tmp_path / "sweep"
+        sweep.mkdir()
+        sets = tuple(np.arange(t, t + 5) for t in range(3))
+        path = sweep / "est_k3_dn5.txt"
+        with open(path, "w") as f:
+            save_vertex_estimates(VertexEstimates(np.zeros((24, 3)), sets, np.zeros((3, 0))), f)
+        code = main(["eval", "--instance", str(instance_dir), "--sweep-estimates", str(sweep),
+                     "--out", str(tmp_path / "e")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"eval: {path}: vertices have length 24, the instance has d=25\n"
+        assert not (tmp_path / "e" / "sweep.csv").exists()
+
     def test_eval_zero_smoothing_trials(self, tmp_path, instance_dir):
         learned = tmp_path / "learned"
         assert main(["learn", "--input", str(instance_dir), "--k", "3", "--delta", "0.1",

@@ -150,6 +150,11 @@ class TestLsLoss:
         with pytest.raises(ValueError):
             ls_loss(A, np.eye(4)[:, :2], sample=11)
 
+    def test_rejects_vertices_of_other_length(self):
+        A = random_sparse(4, 10, 0.5, seed=0)
+        with pytest.raises(ValueError, match="length 3, the instance has d=4"):
+            ls_loss(A, np.zeros((3, 2)), sample=5)
+
 
 class TestReductionCheck:
     def test_exact_rank_k_residual_zero(self):

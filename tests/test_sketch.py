@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,9 +71,9 @@ class TestApplyCountsketch:
         np.testing.assert_allclose(apply_countsketch(A, S), A.toarray() @ dense_sketch)
 
     def test_blocked_path_matches_sparse_product(self):
-        # more than max(2^18, d * c) entries, so the scatter runs in column
-        # blocks; column 5 is full, as large as a block, and follows two empty
-        # columns, and empty runs sit in the middle and at the end
+        # more than 2^18 entries, so the scatter runs in column blocks; column
+        # 5 is full, longer than a block so a block of its own, and follows
+        # two empty columns, and empty runs sit in the middle and at the end
         rng = np.random.default_rng(11)
         d, n, c = (1 << 18) + 1000, 40, 1
         filled = [j for j in range(n) if j not in (3, 4, 5) and not 10 <= j < 15 and j < 35]
@@ -85,19 +86,34 @@ class TestApplyCountsketch:
         assert A.nnz > 2 * d * c and A.column_nnz()[5] == d
         S = make_countsketch(n, c, seed=4)
         S_mat = sp.csc_array((S.sign, (np.arange(n), S.bucket)), shape=(n, c))
-        np.testing.assert_allclose(apply_countsketch(A, S), (A._scipy @ S_mat).toarray())
+        np.testing.assert_array_equal(apply_countsketch(A, S), (A._scipy @ S_mat).toarray())
 
     @pytest.mark.parametrize("n", [500, 1600])
-    def test_output_sized_blocks_match_sparse_product(self, n):
-        # d * c > 2^18 sets the block size: n=500 fits in one block, n=1600
-        # spans several
+    def test_wide_sketch_matches_sparse_product(self, n):
+        # the d x c output is larger than a block, and both inputs span
+        # several blocks; each output entry still adds its terms in column
+        # order, as the sparse product does
         d, c = 1000, 300
         A = random_sparse(d, n, 0.8, seed=n)
         assert d * c > 1 << 18 and A.nnz > 1 << 18
-        assert (A.nnz > d * c) == (n == 1600)
         S = make_countsketch(n, c, seed=5)
         S_mat = sp.csc_array((S.sign, (np.arange(n), S.bucket)), shape=(n, c))
-        np.testing.assert_allclose(apply_countsketch(A, S), (A._scipy @ S_mat).toarray())
+        np.testing.assert_array_equal(apply_countsketch(A, S), (A._scipy @ S_mat).toarray())
+
+    def test_scatter_memory_is_block_sized(self):
+        # beyond the d x c output, the scatter holds two arrays of one block's
+        # entries and a few n-long ones, however large nnz(A) and d * c are
+        d, n, c = 1000, 1600, 300
+        A = random_sparse(d, n, 0.8, seed=n)
+        assert d * c > 1 << 18 and A.nnz >= d * c
+        S = make_countsketch(n, c, seed=5)
+        tracemalloc.start()
+        try:
+            apply_countsketch(A, S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * d * c + 16 * (1 << 18) + 16 * n + (1 << 20)
 
     def test_dimension_mismatch(self):
         A = random_sparse(3, 5, 0.5, seed=0)
