@@ -45,7 +45,13 @@ from .models import (
     load_instance_core,
     save_instance,
 )
-from .sketch import RankRestoreError, default_power_iters, mixed_lra, subspace_power
+from .sketch import (
+    RankRestoreError,
+    _squared_singular_values,
+    default_power_iters,
+    mixed_lra,
+    subspace_power,
+)
 from .sparsemat import (
     load_matrix_snapshot,
     parse_edge_list,
@@ -501,8 +507,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         alpha = compute_alpha(inst.M)
         match = match_vertices(est, inst.M, sigma=inst.sigma, alpha=alpha, delta=inst.delta)
         loss = ls_loss(inst.A, est, sample=min(sample, inst.A.cols), seed=seed)
-        red = reduction_check(inst.A, est, inst.k)
-        report = check_assumptions(inst)
+        lam = _squared_singular_values(inst.A)  # one dense spectrum serves both checks
+        red = reduction_check(inst.A, est, inst.k, lam)
+        report = check_assumptions(inst, np.sqrt(lam))
         worst = subset_smoothing_check(inst.A, inst.P, inst.sigma, trials=trials, seed=seed)
     except (ValueError, RuntimeError) as exc:
         print(f"eval: {exc}", file=sys.stderr)

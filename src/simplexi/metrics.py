@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
 
 from .learner import VertexEstimates
-from .sketch import svd_tail_norms
+from .sketch import _tail_norms
 from .sparsemat import (
     LinearOp,
     SparseColMatrix,
@@ -165,16 +165,20 @@ def ls_loss(
     return float(np.sum(R * R) * (n / sample))
 
 
-def reduction_check(A: SparseColMatrix, est: VertexSource, k: int) -> ReductionCheck:
+def reduction_check(
+    A: SparseColMatrix, est: VertexSource, k: int, lam: np.ndarray
+) -> ReductionCheck:
     """Spectral-residual test of the recovered vertex span.
 
     Passes when the squared spectral norm of A minus its projection onto
     the span of the recovered vertices is at most the rank-k tail budget
-    ||A - A_k||_2^2 + n^(-1/3) ||A - A_k||_F^2 (dense oracle)."""
+    ||A - A_k||_2^2 + n^(-1/3) ||A - A_k||_F^2.  ``lam`` holds A's
+    squared singular values, nonincreasing, from the dense spectrum
+    oracle (``sketch._squared_singular_values``)."""
     V = _vertex_matrix(est)
     d, n = A.shape
     Q = orthonormalize(V).cols
-    spec_tail, frob_tail_sq = svd_tail_norms(A, k)
+    spec_tail, frob_tail_sq = _tail_norms(lam, k)
     bound = spec_tail**2 + frob_tail_sq / float(n) ** (1.0 / 3.0)
     floor = 1e-12 * float(np.sum(A.values * A.values))  # rounding allowance
 

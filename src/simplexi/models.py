@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .sketch import DENSE_ORACLE_LIMIT, singular_values
 from .sparsemat import (
     LinearOp,
     SparseColMatrix,
@@ -53,20 +53,25 @@ __all__ = [
 class SimplexInstance:
     """Generated ground-truth bundle.
 
-    Every column of P is a convex combination of the columns of M (when
-    W is present, P = M @ W exactly and the columns of W are stochastic).
-    ``sigma`` is the measured value of ||A - P||_2 / sqrt(n).
+    The latent points P = M @ W are derived, not stored: the columns of
+    W are stochastic, so every column of P is a convex combination of
+    the columns of M.  ``sigma`` is the measured value of
+    ||A - P||_2 / sqrt(n).
     """
 
     M: np.ndarray  # d x k true vertices
-    P: np.ndarray  # d x n latent points
     A: SparseColMatrix  # d x n observations
-    W: np.ndarray | None  # k x n mixing weights when applicable
+    W: np.ndarray  # k x n mixing weights
     sigma: float
     delta: float
     model_tag: str
     seed: int
     params: dict = field(default_factory=dict)
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        """d x n latent points, M @ W (computed once per instance)."""
+        return self.M @ self.W
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -122,24 +127,10 @@ def compute_alpha(M: np.ndarray) -> float:
     return worst / max_norm
 
 
-def compute_sigma(A: SparseColMatrix, P: np.ndarray, seed: int = 0) -> float:
-    """Measured ||A - P||_2 / sqrt(n), with the difference applied
-    operator-style (A is never densified)."""
-    P = np.asarray(P, dtype=np.float64)
-    if P.shape != A.shape:
-        raise ValueError(f"shape mismatch: A is {A.shape}, P is {P.shape}")
-    op = LinearOp(
-        A.shape,
-        lambda x: right_apply(A, x) - P @ x,
-        lambda y: left_apply(y, A) - y @ P,
-    )
-    est = spectral_norm_est(op, tol=1e-11, max_iter=500, seed=seed)
-    return est.value / np.sqrt(A.cols)
-
-
-def _sigma_factored(A: SparseColMatrix, M: np.ndarray, W: np.ndarray, seed: int = 0) -> float:
-    """compute_sigma specialization applying P = M @ W in factored form,
-    so each power step costs O(nnz(A) + (n + d) k)."""
+def compute_sigma(A: SparseColMatrix, M: np.ndarray, W: np.ndarray, seed: int = 0) -> float:
+    """Measured ||A - M W||_2 / sqrt(n).  The difference is applied
+    operator-style with P = M W in factored form (neither A nor P is
+    densified), so each power step costs O(nnz(A) + (n + d) k)."""
     op = LinearOp(
         A.shape,
         lambda x: right_apply(A, x) - M @ (W @ x),
@@ -238,10 +229,10 @@ def gen_lda(
             shape=(d, n),
         )
     )
-    sigma = _sigma_factored(A, M, W, seed=seed)
+    sigma = compute_sigma(A, M, W, seed=seed)
     dl = fit_delta(M, P, sigma) if delta is None else float(delta)
     return SimplexInstance(
-        M, P, A, W, sigma, dl, "lda", seed,
+        M, A, W, sigma, dl, "lda", seed,
         {"d": d, "n": n, "k": k, "m": m, "concentration": conc,
          "topic_concentration": topic_concentration},
     )
@@ -296,10 +287,10 @@ def gen_mmsb(
         mask = rng.random((d, stop - start)) < P[:, start:stop]
         parts.append(sp.csc_array(mask.astype(np.float64)))
     A = from_scipy(sp.hstack(parts, format="csc") if len(parts) > 1 else parts[0])
-    sigma = _sigma_factored(A, M, W2, seed=seed)
+    sigma = compute_sigma(A, M, W2, seed=seed)
     dl = fit_delta(M, P, sigma) if delta is None else float(delta)
     return SimplexInstance(
-        M, P, A, W2, sigma, dl, "mmsb", seed,
+        M, A, W2, sigma, dl, "mmsb", seed,
         {"n": n, "d": d, "k": k, "p": p, "q": q, "pure": float(pure)},
     )
 
@@ -391,9 +382,9 @@ def gen_clusters_adversarial(
         s = sigma_target * np.sqrt(n) * (1.0 - 1e-9) * 0.6 ** np.arange(noise_rank)
         E = (u * s) @ v.T
     A = _sparse_from_dense(P + E)
-    sigma = _sigma_factored(A, M, W, seed=seed)
+    sigma = compute_sigma(A, M, W, seed=seed)
     return SimplexInstance(
-        M, P, A, W, sigma, float(delta), "clustering", seed,
+        M, A, W, sigma, float(delta), "clustering", seed,
         {"d": d, "n": n, "k": k, "sigma_target": sigma_target,
          "adversary_fraction": adversary_fraction, "noise_rank": float(noise_rank),
          "separation_factor": separation_factor},
@@ -416,18 +407,22 @@ def gen_bernoulli(d: int, n: int, p: float, seed: int = 0) -> SparseColMatrix:
     return from_scipy(sp.hstack(parts, format="csc") if len(parts) > 1 else parts[0])
 
 
-def check_assumptions(inst: SimplexInstance) -> AssumptionReport:
+def check_assumptions(inst: SimplexInstance, s: np.ndarray | None) -> AssumptionReport:
     """Measure the four model conditions on a generated instance.
 
-    The proximity radius is 4 sigma / sqrt(delta).  The top-k-dominance
-    check uses the dense spectrum oracle and is reported as unchecked
-    (None) when the instance exceeds its size cap.  The tolerated
+    ``s`` holds all singular values of A, nonincreasing, from the dense
+    spectrum oracle (``sketch.singular_values``); the caller computes
+    them, so one spectrum can serve several checks.  When the instance
+    exceeds the oracle's size cap, pass None: the top-k-dominance check
+    is then reported as unchecked (None).
+
+    The proximity radius is 4 sigma / sqrt(delta).  The tolerated
     tail-energy multiplicity phi is capped at 4k (block-structured
     observation noise concentrates k comparable directions per vertex,
     so a k-proportional cap keeps the check meaningful across instance
     sizes).
     """
-    d, n = inst.shape
+    n = inst.A.cols
     k = inst.k
     alpha = compute_alpha(inst.M)
 
@@ -444,12 +439,11 @@ def check_assumptions(inst: SimplexInstance) -> AssumptionReport:
 
     phi = min(4.0 * k, inst.A.nnz / (n * float(k) ** 3))
     significant_ok: bool | None
-    if min(d, n) > DENSE_ORACLE_LIMIT:
+    if s is None:
         significant_ok = None
         gap_ratio = float("nan")
         tail_ratio = float("nan")
     else:
-        s = singular_values(inst.A)
         sigma_k = float(s[k - 1]) if k <= s.size else 0.0
         sigma_k1 = float(s[k]) if k < s.size else 0.0
         tail_sq = float(np.sum(s[k:] ** 2)) if k < s.size else 0.0
@@ -482,16 +476,15 @@ def check_assumptions(inst: SimplexInstance) -> AssumptionReport:
 
 
 def save_instance(inst: SimplexInstance, directory: str) -> None:
+    """Write ``A.txt``, ``M.txt``, ``W.txt`` and ``meta.txt``; P = M W is
+    not stored."""
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, "A.txt"), "w") as f:
         save_matrix_snapshot(inst.A, f)
     with open(os.path.join(directory, "M.txt"), "w") as f:
         save_dense_block("M", inst.M, f)
-    with open(os.path.join(directory, "P.txt"), "w") as f:
-        save_dense_block("P", inst.P, f)
-    if inst.W is not None:
-        with open(os.path.join(directory, "W.txt"), "w") as f:
-            save_dense_block("W", inst.W, f)
+    with open(os.path.join(directory, "W.txt"), "w") as f:
+        save_dense_block("W", inst.W, f)
     with open(os.path.join(directory, "meta.txt"), "w") as f:
         f.write(f"model_tag={inst.model_tag}\n")
         f.write(f"sigma={inst.sigma:.17g}\n")
@@ -503,7 +496,7 @@ def save_instance(inst: SimplexInstance, directory: str) -> None:
 
 def load_instance_core(directory: str) -> tuple[SparseColMatrix, np.ndarray, dict]:
     """A, M and the ``meta.txt`` fields of an instance directory, without
-    reading ``P.txt`` or ``W.txt``.
+    reading ``W.txt``: all that ``learn`` needs.
 
     The fields are keyed and typed as ``SimplexInstance`` names them
     (sigma, delta, model_tag, seed, params).  Raises ``ValueError`` if a
@@ -542,23 +535,21 @@ def load_instance_core(directory: str) -> tuple[SparseColMatrix, np.ndarray, dic
 
 
 def load_instance(directory: str) -> SimplexInstance:
-    """Read an instance directory written by ``save_instance``.
+    """Read an instance directory written by ``save_instance``: ``A.txt``,
+    ``M.txt``, ``W.txt`` and ``meta.txt``.  P is derived as M @ W, so a
+    ``P.txt`` that an older version wrote is ignored.
 
-    Raises ``ValueError`` if a file is malformed, the shapes of M, P and
-    W do not fit A, or ``meta.txt`` lacks a required key.
+    Raises ``ValueError`` if a file is malformed, ``W.txt`` is missing,
+    the shapes of M and W do not fit A, or ``meta.txt`` lacks a required
+    key.
     """
     A, M, fields = load_instance_core(directory)
-    p_path = os.path.join(directory, "P.txt")
-    with open(p_path) as f:
-        P = load_dense_block(f)[1]
-    if P.shape != A.shape:
-        raise ValueError(f"{p_path} is {P.shape[0]}x{P.shape[1]}, but A is {A.rows}x{A.cols}")
-    W = None
     wpath = os.path.join(directory, "W.txt")
-    if os.path.exists(wpath):
-        with open(wpath) as f:
-            W = load_dense_block(f)[1]
-        if W.shape != (M.shape[1], A.cols):
-            raise ValueError(f"{wpath} is {W.shape[0]}x{W.shape[1]}, "
-                             f"but M has {M.shape[1]} columns and A has {A.cols}")
-    return SimplexInstance(M, P, A, W, **fields)
+    if not os.path.exists(wpath):
+        raise ValueError(f"{wpath} is missing")
+    with open(wpath) as f:
+        W = load_dense_block(f)[1]
+    if W.shape != (M.shape[1], A.cols):
+        raise ValueError(f"{wpath} is {W.shape[0]}x{W.shape[1]}, "
+                         f"but M has {M.shape[1]} columns and A has {A.cols}")
+    return SimplexInstance(M, A, W, **fields)

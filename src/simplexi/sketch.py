@@ -287,12 +287,16 @@ def _squared_singular_values(A: SparseColMatrix) -> np.ndarray:
     return np.maximum(np.linalg.eigvalsh(G)[::-1], 0.0)
 
 
-def svd_tail_norms(A: SparseColMatrix, k: int) -> tuple[float, float]:
-    """(sigma_{k+1}, ||A - A_k||_F^2) from the full Gram spectrum."""
-    lam = _squared_singular_values(A)
+def _tail_norms(lam: np.ndarray, k: int) -> tuple[float, float]:
+    """(sigma_{k+1}, ||A - A_k||_F^2) from A's squared singular values."""
     spec_tail = float(np.sqrt(lam[k])) if k < lam.size else 0.0
     frob_tail_sq = float(np.sum(lam[k:])) if k < lam.size else 0.0
     return spec_tail, frob_tail_sq
+
+
+def svd_tail_norms(A: SparseColMatrix, k: int) -> tuple[float, float]:
+    """(sigma_{k+1}, ||A - A_k||_F^2) from the full Gram spectrum."""
+    return _tail_norms(_squared_singular_values(A), k)
 
 
 def singular_values(A: SparseColMatrix) -> np.ndarray:

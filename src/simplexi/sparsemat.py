@@ -83,7 +83,8 @@ def build_csc(triplets: Sequence[Triplet], d: int, n: int) -> SparseColMatrix:
 
     Duplicate entries at the same position are summed and entries that
     end up exactly zero are dropped.  Raises ``ValueError`` naming the
-    first offending triplet if an index is out of range.
+    first offending triplet if an index is out of range, and if d * n
+    exceeds 2^63 - 1.
     """
     r = np.asarray([t[0] for t in triplets], dtype=np.int64)
     c = np.asarray([t[1] for t in triplets], dtype=np.int64)
@@ -102,9 +103,15 @@ class _TripletError(ValueError):
 def _csc_from_arrays(
     r: np.ndarray, c: np.ndarray, v: np.ndarray, d: int, n: int
 ) -> SparseColMatrix:
-    """``build_csc`` on parallel row, column and value arrays."""
+    """``build_csc`` on parallel row, column and value arrays.
+
+    The entries are ordered by one stable sort of the key c * d + r, so
+    duplicates are runs of equal keys that keep their input order.
+    """
     if d < 0 or n < 0:
         raise ValueError(f"matrix dimensions must be nonnegative, got {d}x{n}")
+    if d * n > np.iinfo(np.int64).max:
+        raise ValueError(f"a {d}x{n} matrix has more than 2^63 - 1 positions")
     if r.size == 0:
         empty_ptr = np.zeros(n + 1, dtype=np.int64)
         return SparseColMatrix(
@@ -120,28 +127,27 @@ def _csc_from_arrays(
         i = int(np.flatnonzero(~np.isfinite(v))[0])
         raise _TripletError(i, f"triplet #{i} has non-finite value {v[i]}")
 
-    order = np.lexsort((r, c))
-    r, c, v = r[order], c[order], v[order]
-    first = np.empty(r.size, dtype=bool)
+    key = c * d + r
+    order = np.argsort(key, kind="stable")
+    key, v = key[order], v[order]
+    first = np.empty(key.size, dtype=bool)
     first[0] = True
-    first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+    np.not_equal(key[1:], key[:-1], out=first[1:])
     starts = np.flatnonzero(first)
     with np.errstate(over="ignore"):
         summed = np.add.reduceat(v, starts)
     if not np.all(np.isfinite(summed)):
         j = int(np.flatnonzero(~np.isfinite(summed))[0])
-        at = starts[j]
-        i = int(order[at])
+        i = int(order[starts[j]])
         raise _TripletError(
-            i, f"triplet #{i} and its duplicates at ({r[at]}, {c[at]}) sum to {summed[j]}"
+            i, f"triplet #{i} and its duplicates at ({r[i]}, {c[i]}) sum to {summed[j]}"
         )
-    r, c = r[starts], c[starts]
     keep = summed != 0.0
-    r, c, summed = r[keep], c[keep], summed[keep]
+    c, r = np.divmod(key[starts[keep]], d)
 
     col_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(c, minlength=n), out=col_ptr[1:])
-    return SparseColMatrix(d, n, col_ptr, r, summed)
+    return SparseColMatrix(d, n, col_ptr, r, summed[keep])
 
 
 def from_scipy(m) -> SparseColMatrix:
@@ -459,6 +465,8 @@ def load_matrix_snapshot(f: TextIO) -> SparseColMatrix:
         return _csc_from_arrays(body["row"], body["col"], body["value"], d, n)
     except _TripletError as exc:
         raise ValueError(f"{_source(f)}:{exc.index + 2}: {exc}") from None
+    except ValueError as exc:  # the header's dimensions
+        raise ValueError(f"{_source(f)}:1: {exc}") from None
 
 
 def save_dense_block(name: str, M: np.ndarray, f: TextIO) -> None:

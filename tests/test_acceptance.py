@@ -21,7 +21,14 @@ from simplexi.models import (
     gen_lda,
     gen_mmsb,
 )
-from simplexi.sketch import default_power_iters, mixed_lra, subspace_power, svd_tail_norms
+from simplexi.sketch import (
+    _squared_singular_values,
+    default_power_iters,
+    mixed_lra,
+    singular_values,
+    subspace_power,
+    svd_tail_norms,
+)
 from simplexi.sparsemat import parse_edge_list
 from simplexi.subspace import Basis, sin_theta
 
@@ -161,7 +168,7 @@ def test_criterion_04_statistical_recovery_bound(lda_fixture, clustering_fixture
     details = []
     all_good = True
     for name, inst in (("lda", lda_fixture), ("clustering", clustering_fixture)):
-        rep = check_assumptions(inst)
+        rep = check_assumptions(inst, singular_values(inst.A))
         assert rep.proximate_ok and rep.spectral_ok and rep.significant_ok, (
             f"{name} fixture must pass the assumption checks: {rep}"
         )
@@ -266,7 +273,7 @@ def test_criterion_08_reduction_experiment():
     for i in range(10):
         inst = gen_mmsb(n=4096, d=256, k=4, p=0.2, q=0.02, seed=800 + i, pure=True)
         est = learn_simplex(inst.A, LearnerConfig(k=4, delta=0.1, seed=1))
-        red = reduction_check(inst.A, est, 4)
+        red = reduction_check(inst.A, est, 4, _squared_singular_values(inst.A))
         passes += red.passes
         margins.append(red.spectral_residual / red.lra_bound)
     good = passes >= 8

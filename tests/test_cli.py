@@ -36,8 +36,9 @@ class TestGen:
             "--m", "40", "--seed", "1", "--out", str(out),
         ])
         assert code == 0
-        for name in ("A.txt", "M.txt", "P.txt", "W.txt", "meta.txt", "manifest.txt"):
+        for name in ("A.txt", "M.txt", "W.txt", "meta.txt", "manifest.txt"):
             assert (out / name).exists()
+        assert not (out / "P.txt").exists()  # P = M W is derived
 
     def test_bad_value_is_usage_error(self, tmp_path, capsys):
         code = main([
@@ -204,6 +205,66 @@ class TestLearnAndEval:
             "--sample", "20", "--smoothing-trials", "0", "--out", str(out),
         ]) == 0
         assert dict(read_csv(out / "eval.csv")[1:])["smoothing_worst_ratio"] == "0"
+
+    def _learn_and_eval(self, tmp_path, instance_dir, name):
+        learned = tmp_path / f"learned_{name}"
+        assert main(["learn", "--input", str(instance_dir), "--k", "3", "--delta", "0.1",
+                     "--seed", "7", "--out", str(learned)]) == 0
+        out = tmp_path / f"eval_{name}"
+        code = main([
+            "eval", "--instance", str(instance_dir),
+            "--estimates", str(learned / "estimates.txt"),
+            "--sample", "50", "--smoothing-trials", "60", "--seed", "1", "--out", str(out),
+        ])
+        return code, out
+
+    def test_eval_missing_w_is_usage_error(self, tmp_path, instance_dir, capsys):
+        (instance_dir / "W.txt").unlink()
+        code, _ = self._learn_and_eval(tmp_path, instance_dir, "no_w")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"eval: cannot load instance: {instance_dir / 'W.txt'} is missing\n"
+
+    def test_eval_ignores_stale_p(self, tmp_path, instance_dir):
+        import numpy as np
+
+        from simplexi.sparsemat import save_dense_block
+
+        code, fresh = self._learn_and_eval(tmp_path, instance_dir, "fresh")
+        assert code == 0
+        with open(instance_dir / "P.txt", "w") as f:  # as an older version wrote it, but wrong
+            save_dense_block("P", np.ones((25, 400)), f)
+        code, stale = self._learn_and_eval(tmp_path, instance_dir, "stale")
+        assert code == 0
+        assert (fresh / "eval.csv").read_bytes() == (stale / "eval.csv").read_bytes()
+
+    def test_eval_computes_the_spectrum_once(self, tmp_path, instance_dir, monkeypatch):
+        import simplexi.cli as cli_mod
+        import simplexi.sketch as sketch_mod
+
+        calls = []
+        oracle = sketch_mod._squared_singular_values
+
+        def spy(A):
+            calls.append(A.shape)
+            return oracle(A)
+
+        # the oracle under both names it is looked up by
+        monkeypatch.setattr(sketch_mod, "_squared_singular_values", spy)
+        monkeypatch.setattr(cli_mod, "_squared_singular_values", spy)
+        code, _ = self._learn_and_eval(tmp_path, instance_dir, "spy")
+        assert code == 0
+        assert calls == [(25, 400)]
+
+    def test_learn_oversized_header_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "matrix.txt"
+        path.write_text("4294967296 4294967296 1\n0 0 1\n")
+        code = main(["learn", "--input", str(path), "--k", "3", "--delta", "0.1",
+                     "--out", str(tmp_path / "z")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (f"learn: {path}:1: a 4294967296x4294967296 matrix has more than "
+                       "2^63 - 1 positions\n")
 
     def test_learn_invalid_k_is_usage_error(self, tmp_path, instance_dir, capsys):
         # k is checked against the shape inside the factorization, on both baselines

@@ -16,6 +16,7 @@ from simplexi.metrics import (
     subset_smoothing_check,
 )
 from simplexi.models import gen_mmsb
+from simplexi.sketch import _squared_singular_values
 
 from conftest import dense_to_csc, random_sparse
 
@@ -163,13 +164,13 @@ class TestReductionCheck:
         W = np.abs(rng.standard_normal((3, 50)))
         W /= W.sum(axis=0)
         A = dense_to_csc(V @ W)
-        res = reduction_check(A, V, k=3)
+        res = reduction_check(A, V, 3, _squared_singular_values(A))
         assert res.spectral_residual <= 1e-16 * max(1.0, res.lra_bound)
         assert res.passes
 
     def test_zero_estimates_fail(self):
         A = random_sparse(20, 80, 0.3, seed=1)
-        res = reduction_check(A, np.zeros((20, 3)), k=3)
+        res = reduction_check(A, np.zeros((20, 3)), 3, _squared_singular_values(A))
         top = np.linalg.norm(A.toarray(), ord=2)
         assert res.spectral_residual == pytest.approx(top**2, rel=1e-6)
         assert not res.passes
@@ -179,8 +180,9 @@ class TestReductionCheck:
         A = random_sparse(15, 60, 0.2, seed=2)
         V = rng.standard_normal((15, 3))
         R = rng.standard_normal((3, 3))  # invertible with probability 1
-        res1 = reduction_check(A, V, k=3)
-        res2 = reduction_check(A, V @ R, k=3)
+        lam = _squared_singular_values(A)
+        res1 = reduction_check(A, V, 3, lam)
+        res2 = reduction_check(A, V @ R, 3, lam)
         assert res1.spectral_residual == pytest.approx(res2.spectral_residual, rel=1e-9)
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from simplexi.metrics import project_columns_to_simplex
 from simplexi.models import (
+    SimplexInstance,
     check_assumptions,
     compute_alpha,
     compute_sigma,
@@ -145,7 +146,7 @@ class TestGenClusters:
                 d=50, n=3000, k=3, sigma_target=2e-6, delta=0.1,
                 adversary_fraction=0.3, seed=seed,
             )
-            rep = check_assumptions(inst)
+            rep = check_assumptions(inst, singular_values(inst.A))
             passes += rep.proximate_ok and rep.spectral_ok and rep.alpha > 0.9
         assert passes >= 8
 
@@ -191,15 +192,16 @@ class TestComputeAlpha:
 
 class TestComputeSigma:
     def test_exact_match_is_zero(self):
+        # M = P with W = I: the factored P is P itself
         P = np.random.default_rng(0).standard_normal((8, 30))
         A = dense_to_csc(P)
-        assert compute_sigma(A, P) <= 1e-12
+        assert compute_sigma(A, P, np.eye(30)) <= 1e-12
 
     def test_single_entry_bump(self):
         n = 50
-        P = np.zeros((6, n))
+        M, W = np.zeros((6, 1)), np.ones((1, n))  # P = 0
         A = build_csc([(2, 7, 3.0)], 6, n)
-        assert compute_sigma(A, P) == pytest.approx(3.0 / np.sqrt(n), rel=1e-9)
+        assert compute_sigma(A, M, W) == pytest.approx(3.0 / np.sqrt(n), rel=1e-9)
 
     def test_matches_dense_oracle(self):
         inst = gen_lda(d=120, n=400, k=4, m=150, seed=7)
@@ -210,12 +212,11 @@ class TestComputeSigma:
 class TestCheckAssumptions:
     def test_exact_vertex_copies_pass_everything(self):
         M = 2.0 * np.eye(5)[:, :3]
+        W = np.tile(np.eye(3), (1, 10))
         P = np.tile(M, (1, 10))
-        inst_A = dense_to_csc(P)
-        from simplexi.models import SimplexInstance
-
-        inst = SimplexInstance(M, P, inst_A, None, 0.0, 0.2, "clustering", 0)
-        rep = check_assumptions(inst)
+        inst = SimplexInstance(M, dense_to_csc(P), W, 0.0, 0.2, "clustering", 0)
+        assert inst.P.tobytes() == P.tobytes()
+        rep = check_assumptions(inst, singular_values(inst.A))
         assert rep.alpha == pytest.approx(1.0)
         assert rep.proximate_ok
         assert rep.spectral_ok
@@ -224,18 +225,18 @@ class TestCheckAssumptions:
 
     def test_duplicate_vertex_fails_separation(self):
         M = np.column_stack([np.ones(4), np.ones(4), np.eye(4)[:, 0]])
+        W = np.tile(np.eye(3), (1, 5))
         P = np.tile(M, (1, 5))
-        from simplexi.models import SimplexInstance
-
-        inst = SimplexInstance(M, P, dense_to_csc(P), None, 0.0, 0.2, "clustering", 0)
-        rep = check_assumptions(inst)
+        inst = SimplexInstance(M, dense_to_csc(P), W, 0.0, 0.2, "clustering", 0)
+        assert inst.P.tobytes() == P.tobytes()
+        rep = check_assumptions(inst, singular_values(inst.A))
         assert rep.alpha <= 1e-10
 
     def test_golden_lda_report(self):
         """Frozen first-run report for the moderate-document fixture:
         proximity holds, the two spectral conditions honestly fail."""
         inst = gen_lda(d=500, n=5000, k=5, m=200, seed=42)
-        rep = check_assumptions(inst)
+        rep = check_assumptions(inst, singular_values(inst.A))
         assert inst.sigma == pytest.approx(0.0109760550836, rel=1e-6)
         assert inst.delta == pytest.approx(0.151579396108, rel=1e-9)
         assert rep.alpha == pytest.approx(0.923600694052, rel=1e-9)
@@ -250,16 +251,16 @@ class TestCheckAssumptions:
         assert rep.phi == pytest.approx(0.6301056, rel=1e-9)
 
     def test_oversized_instance_marks_a4_unchecked(self):
-        from simplexi.models import SimplexInstance
-
+        # the dense oracle refuses the instance, so the caller passes no spectrum
         d, n = 4100, 4200
         A = build_csc([(0, 0, 1.0), (1, 1, 1.0)], d, n)
         M = np.eye(d)[:, :2]
-        P = np.zeros((d, n))
-        P[:, 0] = M[:, 0]
-        P[:, 1] = M[:, 1]
-        inst = SimplexInstance(M, P, A, None, 0.01, 0.001, "clustering", 0)
-        rep = check_assumptions(inst)
+        W = np.zeros((2, n))
+        W[0, 0] = W[1, 1] = 1.0  # P holds M's columns first, zeros after
+        inst = SimplexInstance(M, A, W, 0.01, 0.001, "clustering", 0)
+        with pytest.raises(ValueError, match="exact SVD refused"):
+            singular_values(inst.A)
+        rep = check_assumptions(inst, None)
         assert rep.significant_ok is None
 
 
@@ -344,8 +345,9 @@ class TestInstanceIO:
         inst = gen_lda(d=20, n=40, k=3, m=30, seed=23)
         save_instance(inst, str(tmp_path / "inst"))
         back = load_instance(str(tmp_path / "inst"))
+        assert not (tmp_path / "inst" / "P.txt").exists()
         np.testing.assert_array_equal(back.M, inst.M)
-        np.testing.assert_array_equal(back.P, inst.P)
+        assert back.P.tobytes() == inst.P.tobytes()  # derived from M and W
         np.testing.assert_array_equal(back.A.toarray(), inst.A.toarray())
         np.testing.assert_array_equal(back.W, inst.W)
         assert back.sigma == inst.sigma
@@ -356,7 +358,6 @@ class TestInstanceIO:
 
     @pytest.mark.parametrize("name, shape, message", [
         ("M", (19, 3), "has 19 rows, but A is 20x40"),
-        ("P", (20, 39), "is 20x39, but A is 20x40"),
         ("W", (2, 40), "is 2x40, but M has 3 columns and A has 40"),
     ])
     def test_block_shape_must_fit_a(self, tmp_path, name, shape, message):

@@ -42,6 +42,16 @@ def triplet_lists(draw):
     return d, n, draw(st.lists(entry, max_size=30))
 
 
+def _crowded_duplicates():
+    """(d, n, triplets) with about 170 entries per position, of magnitudes
+    from 1e-8 to 1e8: long enough for an unstable sort to reorder them,
+    and their sum depends on the order."""
+    rng = np.random.default_rng(3)
+    r, c = rng.integers(0, 3, 2000), rng.integers(0, 4, 2000)
+    v = rng.standard_normal(2000) * 10.0 ** rng.integers(-8, 9, 2000)
+    return 3, 4, [(int(i), int(j), float(x)) for i, j, x in zip(r, c, v)]
+
+
 MATRICES = triplet_lists().map(lambda t: build_csc(t[2], t[0], t[1]))
 
 
@@ -98,6 +108,47 @@ class TestBuildCsc:
         big = np.finfo(float).max
         with pytest.raises(ValueError, match=r"triplet #0 .* at \(0, 1\) sum to inf"):
             build_csc([(0, 1, big), (1, 0, 1.0), (0, 1, big)], d=2, n=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(t=triplet_lists(), seed=st.integers(0, 2**32 - 1))
+    def test_shuffled_input_gives_sorted_input_bytes(self, t, seed):
+        # each position holds one entry, a duplicate pair or a cancelling
+        # pair; a sum of two does not depend on their order
+        d, n, trips = t
+        single = [(r, c, v) for (r, c), v in {(r, c): v for r, c, v in trips}.items()]
+        trips = single + [(r, c, 0.5 * v) for r, c, v in single[1::3]]
+        trips += [(r, c, -v) for r, c, v in single[2::3]]
+        shuffled = [trips[i] for i in np.random.default_rng(seed).permutation(len(trips))]
+        A = build_csc(sorted(trips, key=lambda x: (x[1], x[0])), d, n)
+        B = build_csc(shuffled, d, n)
+        for got, want in ((B.col_ptr, A.col_ptr), (B.row_idx, A.row_idx), (B.values, A.values)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(t=triplet_lists())
+    @example(t=_crowded_duplicates())
+    def test_sums_match_lexsort_reference(self, t):
+        # the reference orders by (column, row) with np.lexsort, which is
+        # stable, and sums each run of equal positions with np.add.reduceat
+        d, n, trips = t
+        A = build_csc(trips, d, n)
+        if not trips:
+            assert A.nnz == 0
+            return
+        r, c, v = (np.array(x) for x in zip(*trips))
+        order = np.lexsort((r, c))
+        r, c, v = r[order], c[order], v[order].astype(np.float64)
+        starts = np.flatnonzero(np.r_[True, (r[1:] != r[:-1]) | (c[1:] != c[:-1])])
+        summed = np.add.reduceat(v, starts)
+        keep = summed != 0.0
+        assert A.row_idx.tolist() == r[starts][keep].tolist()
+        assert A.values.tobytes() == summed[keep].tobytes()
+        assert np.repeat(np.arange(n), A.column_nnz()).tolist() == c[starts][keep].tolist()
+
+    def test_oversized_shape_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^a 4294967296x4294967296 matrix has more "
+                                             r"than 2\^63 - 1 positions$"):
+            build_csc([(0, 0, 1.0)], d=2**32, n=2**32)
 
     def test_invariants_on_random_input(self):
         rng = np.random.default_rng(0)
