@@ -502,6 +502,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(f"eval: estimates hold k={k} vertices of length d={d}; the instance has "
               f"k={inst.M.shape[1]}, d={inst.M.shape[0]}", file=sys.stderr)
         return USAGE_ERROR
+    bad = _index_past(est, inst.A.cols)
+    if bad is not None:
+        print(f"eval: estimates select column {bad}; the instance has n={inst.A.cols}",
+              file=sys.stderr)
+        return USAGE_ERROR
 
     try:
         alpha = compute_alpha(inst.M)
@@ -540,6 +545,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _index_past(est, n: int) -> int | None:
+    """The first selected column index that is not below n, if any."""
+    for R in est.index_sets:
+        if R.size and R.max() >= n:
+            return int(R[R >= n][0])
+    return None
+
+
 def _eval_sweep(inst, sweep_dir: str, out: str, sample: int, seed: int) -> int:
     """Loss curves over estimate files named like est_k<k>_dn<dn>.txt."""
     rows = []
@@ -552,6 +565,11 @@ def _eval_sweep(inst, sweep_dir: str, out: str, sample: int, seed: int) -> int:
                 est = load_vertex_estimates(f)
         except ValueError as exc:
             print(f"eval: cannot load estimates {path}: {exc}", file=sys.stderr)
+            return USAGE_ERROR
+        bad = _index_past(est, inst.A.cols)
+        if bad is not None:
+            print(f"eval: {path}: selects column {bad}; the instance has n={inst.A.cols}",
+                  file=sys.stderr)
             return USAGE_ERROR
         dn = est.index_sets[0].size if est.index_sets else 0
         try:

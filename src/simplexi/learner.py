@@ -5,7 +5,10 @@ k selection rounds works entirely inside the factored form: a random
 direction is drawn in the column space of Y, projected away from the
 vertices found so far, pushed through Z^T to score every column, and
 the best-scoring block of columns is averaged into a new vertex.
-Only those selected columns of A are ever read again.
+Only those selected columns of A are ever read again.  A round costs
+the O((n + d) k) scoring product, a few linear scans of the n scores
+(past n = 2^16 a strided sample fixes each side's cut, so only the
+entries past it are partitioned), and a read of the s selected columns.
 
 The factorization reads A twice with the sketch (the sketch, then
 A^T Q; hyper-sparse input takes one more pass for Z) and twice per
@@ -107,6 +110,35 @@ def _smallest(key: np.ndarray, s: int) -> np.ndarray:
     return chosen[np.lexsort((chosen, key[chosen]))]
 
 
+_SAMPLE_STRIDE = 64
+_SAMPLED_MIN_N = 1 << 16
+
+
+def _extreme(v: np.ndarray, s: int, largest: bool) -> np.ndarray:
+    """``_smallest(-v if largest else v, s)``: the s largest (or smallest)
+    entries of v, ties toward the lower index, in (key, index) order.
+
+    From n = 2^16 on (and s <= n/4), a cut is read from every 64th entry,
+    at rank 2 floor(s/64) + 8 from the extreme end, and only the entries at
+    or past it go to ``_smallest``.  When at least s entries pass, they
+    hold the answer with all its ties, in ascending index order, so the
+    result is the same; otherwise the exact search runs on all of v.
+    """
+    n = v.size
+    if n >= _SAMPLED_MIN_N and 4 * s <= n:
+        sample = v[::_SAMPLE_STRIDE]
+        rank = 2 * (s // _SAMPLE_STRIDE) + 8
+        if largest:
+            cut = np.partition(sample, sample.size - rank)[sample.size - rank]
+            cand = np.flatnonzero(v >= cut)
+        else:
+            cut = np.partition(sample, rank - 1)[rank - 1]
+            cand = np.flatnonzero(v <= cut)
+        if cand.size >= s:
+            return cand[_smallest(-v[cand] if largest else v[cand], s)]
+    return _smallest(-v if largest else v, s)
+
+
 def select_indices(u: np.ndarray, s: int, mode: str = "two_sided") -> np.ndarray:
     """Indices of the s most extreme coordinates of u, sorted ascending.
 
@@ -115,8 +147,11 @@ def select_indices(u: np.ndarray, s: int, mode: str = "two_sided") -> np.ndarray
     with the larger |sum| wins, so one set never mixes signs.  Ties are
     broken toward the lower index; the result is scale-invariant under
     u -> c u for any c > 0.  Each side is one partition around its s-th
-    key, so a call costs O(n + s log s).  Raises ``ValueError`` if u has
-    a non-finite entry.
+    key, so a call costs O(n + s log s); from n = 2^16 on, each side
+    partitions only a strided sample and the entries past the sample's
+    cut, so a call reads u about three times (the finiteness check and
+    one comparison per side).  Raises ``ValueError`` if u has a
+    non-finite entry.
     """
     u = np.asarray(u, dtype=np.float64).ravel()
     n = u.size
@@ -125,10 +160,10 @@ def select_indices(u: np.ndarray, s: int, mode: str = "two_sided") -> np.ndarray
     if not np.isfinite(u).all():
         raise ValueError("scores must be finite")
     if mode == "abs":
-        return np.sort(_smallest(-np.abs(u), s))
+        return np.sort(_extreme(np.abs(u), s, largest=True))
     if mode == "two_sided":
-        top = _smallest(-u, s)
-        bottom = _smallest(u, s)
+        top = _extreme(u, s, largest=True)
+        bottom = _extreme(u, s, largest=False)
         # both sums add in (key, index) order, as a full stable sort would
         if abs(u[top].sum()) >= abs(u[bottom].sum()):
             return np.sort(top)
@@ -237,20 +272,33 @@ def save_vertex_estimates(est: VertexEstimates, f: TextIO) -> None:
 
 
 def load_vertex_estimates(f: TextIO) -> VertexEstimates:
+    """Read the block ``save_vertex_estimates`` writes.
+
+    Raises ``ValueError`` naming the line on a wrong header or length, a
+    column index that is negative or past int64, or a non-finite vertex
+    entry.
+    """
     header = f.readline().split()
     if len(header) != 3:
         raise ValueError("estimates header must be 'k d s'")
     k, d, s = (int(x) for x in header)
     sets = []
-    for _ in range(k):
+    for line in range(2, k + 2):
         row = [int(x) for x in f.readline().split()]
         if len(row) != s:
-            raise ValueError("index set size does not match header")
+            raise ValueError(f"line {line}: index set size does not match header")
+        bad = [i for i in row if not 0 <= i < 2**63]
+        if bad:
+            raise ValueError(f"line {line}: column index {bad[0]} is out of range")
         sets.append(np.asarray(row, dtype=np.int64))
     vertices = np.empty((d, k))
     for t in range(k):
-        vals = [float(x) for x in f.readline().split()]
-        if len(vals) != d:
-            raise ValueError("vertex vector length does not match header")
+        line = k + 2 + t
+        vals = np.asarray([float(x) for x in f.readline().split()])
+        if vals.size != d:
+            raise ValueError(f"line {line}: vertex vector length does not match header")
+        if not np.isfinite(vals).all():
+            bad = vals[~np.isfinite(vals)][0]
+            raise ValueError(f"line {line}: vertex entry {bad} is not finite")
         vertices[:, t] = vals
     return VertexEstimates(vertices, tuple(sets), np.zeros((k, 0)))

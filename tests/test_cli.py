@@ -163,6 +163,55 @@ class TestLearnAndEval:
         assert err == ("eval: estimates hold k=3 vertices of length d=24; "
                        "the instance has k=3, d=25\n")
 
+    @pytest.mark.parametrize("line, old, new, message", [
+        (5, "0.5", "nan", "line 5: vertex entry nan is not finite"),
+        (7, "0.5", "inf", "line 7: vertex entry inf is not finite"),
+        (3, "2", "-5", "line 3: column index -5 is out of range"),
+    ])
+    def test_eval_malformed_estimates_are_usage_errors(
+        self, tmp_path, instance_dir, capsys, line, old, new, message
+    ):
+        import numpy as np
+
+        from simplexi.learner import VertexEstimates, save_vertex_estimates
+
+        sets = tuple(np.arange(t, t + 5) for t in range(3))
+        path = tmp_path / "bad.txt"
+        with open(path, "w") as f:
+            save_vertex_estimates(VertexEstimates(np.full((25, 3), 0.5), sets,
+                                                  np.zeros((3, 0))), f)
+        lines = path.read_text().splitlines()
+        lines[line - 1] = lines[line - 1].replace(old, new, 1)
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["eval", "--instance", str(instance_dir), "--estimates", str(path),
+                     "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert capsys.readouterr().err == f"eval: cannot load estimates: {message}\n"
+
+    def test_eval_index_past_n_is_usage_error(self, tmp_path, instance_dir, capsys):
+        import numpy as np
+
+        from simplexi.learner import VertexEstimates, save_vertex_estimates
+
+        sets = (np.arange(5), np.array([1, 2, 3, 4, 999999]), np.arange(5))
+        path = tmp_path / "far.txt"
+        with open(path, "w") as f:
+            save_vertex_estimates(VertexEstimates(np.zeros((25, 3)), sets, np.zeros((3, 0))), f)
+        code = main(["eval", "--instance", str(instance_dir), "--estimates", str(path),
+                     "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "eval: estimates select column 999999; the instance has n=400\n")
+        assert not (tmp_path / "e" / "eval.csv").exists()
+        sweep = tmp_path / "sweep"
+        sweep.mkdir()
+        path.rename(sweep / "est_k3_dn5.txt")
+        code = main(["eval", "--instance", str(instance_dir), "--sweep-estimates", str(sweep),
+                     "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"eval: {sweep / 'est_k3_dn5.txt'}: selects column 999999; the instance has n=400\n")
+
     def test_eval_sweep_malformed_file_is_usage_error(self, tmp_path, instance_dir, capsys):
         sweep = tmp_path / "sweep"
         sweep.mkdir()

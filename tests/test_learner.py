@@ -23,6 +23,7 @@ from simplexi.learner import (
     select_vertices,
 )
 from simplexi.metrics import match_vertices
+from simplexi.models import gen_bernoulli
 from simplexi.sparsemat import column_subset_mean
 
 from conftest import dense_to_csc, duplicated_vertex_instance, random_sparse
@@ -104,6 +105,86 @@ class TestSelectIndicesProperty:
                 got = select_indices(u, s, mode)
                 np.testing.assert_array_equal(got, reference_select(u, s, mode))
                 assert got.dtype == np.int64
+
+
+class TestSelectIndicesSampledCut:
+    """From n = 2^16 on, each side first cuts at a strided sample."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(learner_mod._SAMPLED_MIN_N, 1 << 17),
+        shape=st.sampled_from(["random", "constant", "ascending", "descending"]),
+        tie_density=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+        data=st.data(),
+    )
+    def test_matches_stable_sort_reference(self, seed, n, shape, tie_density, data):
+        rng = np.random.default_rng(seed)
+        if shape == "random":
+            u = rng.standard_normal(n)
+        elif shape == "constant":
+            u = np.full(n, rng.choice([-0.0, 0.0, 2.5]))
+        else:
+            u = np.arange(n, dtype=np.float64) - n // 2
+            if shape == "descending":
+                u = u[::-1].copy()
+        s = data.draw(st.one_of(st.integers(1, 400), st.integers(1, n)))
+        # ties at both cuts and at zero: copies of the s-th largest and
+        # s-th smallest values and of +-0.0 replace a share of the entries
+        ordered = np.sort(u)
+        levels = np.array([ordered[s - 1], ordered[n - s], -0.0, 0.0])
+        tied = rng.random(n) < tie_density
+        u[tied] = rng.choice(levels, size=int(tied.sum()))
+        for mode in ("abs", "two_sided"):
+            got = select_indices(u, s, mode)
+            np.testing.assert_array_equal(got, reference_select(u, s, mode))
+            assert got.dtype == np.int64
+
+    @pytest.fixture()
+    def sizes(self, monkeypatch):
+        """Key lengths of the calls to the exact search ``_smallest``."""
+        sizes = []
+        real = learner_mod._smallest
+
+        def recording(key, s):
+            sizes.append(key.size)
+            return real(key, s)
+
+        monkeypatch.setattr(learner_mod, "_smallest", recording)
+        return sizes
+
+    def test_sample_holding_the_extremes_falls_back(self, sizes):
+        # every 64th entry is huge and distinct, so the top side's cut keeps
+        # only those 2 floor(s/64) + 8 entries, fewer than s
+        n, s = 100_000, 200
+        u = np.random.default_rng(0).standard_normal(n)
+        u[::64] = 1e6 + np.arange(u[::64].size)
+        np.testing.assert_array_equal(select_indices(u, s, "two_sided"),
+                                      reference_select(u, s, "two_sided"))
+        assert sizes[0] == n  # the top side ran the exact search on all of u
+        assert sizes[1] < n  # the bottom side's cut held
+        sizes.clear()
+        np.testing.assert_array_equal(select_indices(-u, s, "two_sided"),
+                                      reference_select(-u, s, "two_sided"))
+        assert sizes[0] < n and sizes[1] == n
+
+    def test_sums_add_in_key_order_past_the_cut(self):
+        # the top side sums to 1e16 in (key, index) order and to 1e16 + 2 in
+        # index order; the bottom side's |sum| of 1e16 + 2 lies between
+        u = np.zeros(learner_mod._SAMPLED_MIN_N)
+        u[[10, 11, 5000]] = [1.0, 1.0, 1e16]
+        u[20] = -(1e16 + 2)
+        np.testing.assert_array_equal(select_indices(u, 3, "two_sided"), [0, 1, 20])
+        np.testing.assert_array_equal(reference_select(u, 3, "two_sided"), [0, 1, 20])
+
+    def test_gate(self, sizes):
+        rng = np.random.default_rng(1)
+        n = learner_mod._SAMPLED_MIN_N
+        select_indices(rng.standard_normal(n - 1), 20, "two_sided")
+        assert sizes == [n - 1, n - 1]  # below the gate: the exact search on all of u
+        sizes.clear()
+        select_indices(rng.standard_normal(n), 200, "two_sided")
+        assert len(sizes) == 2 and max(sizes) < n // 16  # at it: only the candidates
 
 
 class TestLearnerConfig:
@@ -215,6 +296,16 @@ class TestDeterminismAndConsistency:
         assert all(R.size == s for R in est.index_sets)
         assert all(np.all(np.diff(R) > 0) for R in est.index_sets)
 
+    def test_index_sets_follow_directions_above_the_sampling_gate(self):
+        # most columns are empty, so each direction is full of tied zeros
+        A = gen_bernoulli(60, 70_000, 1e-3, 2)
+        cfg = LearnerConfig(k=3, delta=2e-3, seed=5)
+        est = learn_simplex(A, cfg)
+        s = cfg.smoothing_size(A.cols)
+        assert A.cols >= learner_mod._SAMPLED_MIN_N and est.k == 3
+        for u, R in zip(est.directions, est.index_sets):
+            np.testing.assert_array_equal(R, reference_select(u, s, "two_sided"))
+
     def test_directions_recorded(self):
         A = random_sparse(20, 300, 0.1, seed=4)
         est = learn_simplex(A, LearnerConfig(k=3, delta=0.07, seed=1))
@@ -225,12 +316,14 @@ class TestDeterminismAndConsistency:
 
     def test_blas_thread_count_does_not_change_estimates(self):
         # the first matrix takes the streaming Gram route, the second (hyper-
-        # sparse) the A A^T route; both compress their k^2-wide sketch
+        # sparse) the A A^T route; both compress their k^2-wide sketch; the
+        # third has n past the gate of select_indices' sampled cut
         script = textwrap.dedent("""
             import hashlib
             import numpy as np
             from simplexi import LearnerConfig, gen_bernoulli, learn_simplex
-            for d, n, p, k in ((300, 3000, 0.05, 8), (1000, 20000, 2e-4, 16)):
+            for d, n, p, k in ((300, 3000, 0.05, 8), (1000, 20000, 2e-4, 16),
+                               (200, 70000, 5e-4, 4)):
                 A = gen_bernoulli(d, n, p, 4)
                 est = learn_simplex(A, LearnerConfig(k=k, delta=0.01, seed=3))
                 h = hashlib.sha256()
@@ -248,7 +341,7 @@ class TestDeterminismAndConsistency:
                 text=True, timeout=120, check=True,
             )
             digests.append(out.stdout.split())
-        assert [len(x) for x in digests[0]] == [64, 64]
+        assert [len(x) for x in digests[0]] == [64, 64, 64]
         assert digests[0] == digests[1]
 
 

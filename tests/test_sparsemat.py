@@ -281,6 +281,31 @@ class TestColumnSubsetMean:
         assert got.dtype == np.float64 and got.shape == (A.rows,)
         assert got.tobytes() == ref.tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    @example(data=None)
+    def test_matches_scipy_column_product_bit_for_bit(self, data):
+        # the mean as a scipy submatrix product, which adds each row's
+        # entries in the order of S from 0.0
+        if data is None:  # columns 1 and 3 empty; S unsorted with repeats
+            A = build_csc([(0, 0, 1e16), (2, 0, 0.1), (0, 2, -1e16), (1, 2, 0.3),
+                           (2, 4, 0.7), (0, 4, 1.0)], 3, 5)
+            cases = [np.array([4, 0, 2, 0, 1]), np.array([3, 1, 3])]
+        else:
+            A = data.draw(MATRICES.filter(lambda A: A.cols > 0))
+            index = st.integers(0, A.cols - 1)
+            cases = [np.array(data.draw(st.lists(index, min_size=1, max_size=40)))]
+        for S in cases:
+            ref = (A._scipy[:, S] @ np.ones(S.size)) / S.size
+            got = column_subset_mean(A, S)
+            assert got.dtype == np.float64
+            assert got.tobytes() == ref.tobytes()
+
+    def test_selection_without_entries_is_zero(self):
+        A = build_csc([(1, 0, 2.0)], 3, 4)
+        got = column_subset_mean(A, np.array([3, 2, 3]))
+        assert got.dtype == np.float64 and got.tobytes() == np.zeros(3).tobytes()
+
     def test_errors(self):
         A = random_sparse(3, 4, 0.5, seed=4)
         with pytest.raises(ValueError):
