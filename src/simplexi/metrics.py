@@ -8,7 +8,6 @@ from typing import Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linear_sum_assignment
 
 from .learner import VertexEstimates
 from .sketch import _tail_norms
@@ -91,6 +90,10 @@ def match_vertices(
     delta: float | None = None,
 ) -> MatchResult:
     """Match estimates to true vertices by exact minimum-cost assignment."""
+    # imported here, not with the module: loading scipy.optimize more than
+    # doubles the time of ``import simplexi``, and this is its only use
+    from scipy.optimize import linear_sum_assignment
+
     V = _vertex_matrix(est)
     M = np.asarray(M, dtype=np.float64)
     if V.shape[0] != M.shape[0] or V.shape[1] != M.shape[1]:

@@ -21,6 +21,7 @@ import scipy.sparse as sp
 from .sparsemat import (
     LinearOp,
     SparseColMatrix,
+    _check_shape,
     from_scipy,
     left_apply,
     load_dense_block,
@@ -392,19 +393,43 @@ def gen_clusters_adversarial(
 
 
 def gen_bernoulli(d: int, n: int, p: float, seed: int = 0) -> SparseColMatrix:
-    """Sparse d x n matrix of independent Bernoulli(p) entries."""
+    """Sparse d x n matrix of independent Bernoulli(p) entries, all 1.0.
+
+    Skip sampling (Batagelj & Brandes, Phys. Rev. E 71, 2005): in
+    column-major order, position c * d + r, the gaps between successive
+    nonzeros are i.i.d. Geometric(p), so their cumulative sum lists the
+    nonzeros already sorted, as CSC wants them.  Time and memory are
+    O(nnz + n); no d x n array is drawn.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+    _check_shape(d, n)
+    total = d * n
     rng = np.random.default_rng(seed)
-    if p == 0.0:
-        return from_scipy(sp.csc_array((d, n)))
-    block = max(1, min(n, 8_000_000 // max(d, 1)))
-    parts = []
-    for start in range(0, n, block):
-        stop = min(n, start + block)
-        mask = rng.random((d, stop - start)) < p
-        parts.append(sp.csc_array(mask.astype(np.float64)))
-    return from_scipy(sp.hstack(parts, format="csc") if len(parts) > 1 else parts[0])
+    # Positions count from 1 (position c * d + r + 1), in uint64.  numpy
+    # saturates a geometric draw at 2^63 - 1, which then stands for a gap of
+    # at least 2^63; raised to 2^63, it lands past every position.  Each
+    # partial sum up to the first one past total is at most total + 2^63 <
+    # 2^64, so no kept position wraps; what follows it is thrown away.
+    saturated = np.uint64(np.iinfo(np.int64).max)
+    found = [np.zeros(0, dtype=np.uint64)]
+    last = 0
+    while p > 0.0:
+        left = (total - last) * p  # expected nonzeros still to come
+        gaps = rng.geometric(p, int(left + 6.0 * np.sqrt(left) + 16)).astype(np.uint64)
+        gaps[gaps == saturated] += np.uint64(1)
+        gaps[0] += np.uint64(last)
+        pos = np.cumsum(gaps, out=gaps)
+        past = pos > total
+        if past.any():
+            found.append(pos[: int(past.argmax())])
+            break
+        found.append(pos)
+        last = int(pos[-1])
+    c, r = np.divmod(np.concatenate(found).view(np.int64) - 1, d)
+    col_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(c, minlength=n), out=col_ptr[1:])
+    return SparseColMatrix(d, n, col_ptr, r, np.ones(r.size))
 
 
 def check_assumptions(inst: SimplexInstance, s: np.ndarray | None) -> AssumptionReport:

@@ -100,6 +100,15 @@ class _TripletError(ValueError):
         self.index = index
 
 
+def _check_shape(d: int, n: int) -> None:
+    """Reject a negative dimension, and a shape whose c * d + r position
+    keys do not all fit in int64."""
+    if d < 0 or n < 0:
+        raise ValueError(f"matrix dimensions must be nonnegative, got {d}x{n}")
+    if d * n > np.iinfo(np.int64).max:
+        raise ValueError(f"a {d}x{n} matrix has more than 2^63 - 1 positions")
+
+
 def _csc_from_arrays(
     r: np.ndarray, c: np.ndarray, v: np.ndarray, d: int, n: int
 ) -> SparseColMatrix:
@@ -108,10 +117,7 @@ def _csc_from_arrays(
     The entries are ordered by one stable sort of the key c * d + r, so
     duplicates are runs of equal keys that keep their input order.
     """
-    if d < 0 or n < 0:
-        raise ValueError(f"matrix dimensions must be nonnegative, got {d}x{n}")
-    if d * n > np.iinfo(np.int64).max:
-        raise ValueError(f"a {d}x{n} matrix has more than 2^63 - 1 positions")
+    _check_shape(d, n)
     if r.size == 0:
         empty_ptr = np.zeros(n + 1, dtype=np.int64)
         return SparseColMatrix(

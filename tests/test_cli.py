@@ -24,6 +24,31 @@ class TestGen:
         manifest = (out / "manifest.txt").read_text()
         assert "model=raw" in manifest and "seed=3" in manifest
 
+    @pytest.mark.parametrize("d, n", [("3", "0"), ("0", "3")])
+    def test_raw_empty_shape(self, tmp_path, d, n):
+        out = tmp_path / "empty"
+        code = main(["gen", "--model", "raw", "--d", d, "--n", n, "--p", "0.1",
+                     "--out", str(out)])
+        assert code == 0
+        assert (out / "matrix.txt").read_text() == f"{d} {n} 0\n"
+
+    def test_raw_shape_past_int64_is_usage_error(self, tmp_path, capsys):
+        code = main(["gen", "--model", "raw", "--d", "100000000000",
+                     "--n", "100000000000", "--p", "1e-20", "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "2^63 - 1 positions" in err
+
+    def test_raw_huge_shape_at_tiny_p(self, tmp_path):
+        # 1e12 positions and about 1000 entries: drawing costs O(nnz + n)
+        out = tmp_path / "huge"
+        code = main(["gen", "--model", "raw", "--d", "1000000", "--n", "1000000",
+                     "--p", "1e-9", "--seed", "5", "--out", str(out)])
+        assert code == 0
+        header = (out / "matrix.txt").read_text().split("\n", 1)[0].split()
+        assert header[:2] == ["1000000", "1000000"]
+        assert 800 < int(header[2]) < 1200
+
     def test_missing_param_is_usage_error(self, tmp_path, capsys):
         code = main(["gen", "--model", "raw", "--d", "4", "--out", str(tmp_path / "x")])
         assert code == 2

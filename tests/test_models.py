@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from simplexi.metrics import project_columns_to_simplex
 from simplexi.models import (
@@ -159,6 +163,20 @@ class TestGenClusters:
                                      adversary_fraction=0.5)
 
 
+def assert_canonical_ones(A, d, n):
+    """A is a d x n CSC matrix with sorted, distinct rows and 1.0 values."""
+    assert A.shape == (d, n)
+    assert A.col_ptr.dtype == np.int64 and A.row_idx.dtype == np.int64
+    assert A.col_ptr.shape == (n + 1,) and A.col_ptr[0] == 0
+    assert np.all(np.diff(A.col_ptr) >= 0)
+    assert A.col_ptr[-1] == A.nnz == A.row_idx.size == A.values.size
+    assert np.all(A.values == 1.0)
+    assert np.all((A.row_idx >= 0) & (A.row_idx < d))
+    for c in range(n):
+        rows = A.row_idx[A.col_ptr[c]:A.col_ptr[c + 1]]
+        assert np.all(np.diff(rows) > 0)
+
+
 class TestGenBernoulli:
     def test_p_zero(self):
         assert gen_bernoulli(10, 20, 0.0, seed=0).nnz == 0
@@ -175,6 +193,98 @@ class TestGenBernoulli:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             gen_bernoulli(4, 4, 1.5)
+
+    def test_positions_are_independent_bernoulli(self):
+        d, n, p, trials = 7, 11, 0.3, 2000
+        freq = np.zeros((d, n))
+        nnz = np.empty(trials)
+        for seed in range(trials):
+            A = gen_bernoulli(d, n, p, seed=seed)
+            freq += A.toarray()
+            nnz[seed] = A.nnz
+        # each position is set in Binomial(trials, p) of the draws
+        band = 5.0 * np.sqrt(trials * p * (1 - p))
+        assert np.all(np.abs(freq - trials * p) <= band)
+        # nnz per draw is Binomial(d n, p) only if positions are independent
+        mean, var = d * n * p, d * n * p * (1 - p)
+        assert abs(nnz.mean() - mean) <= 5.0 * np.sqrt(var / trials)
+        assert abs(nnz.var(ddof=1) - var) <= 5.0 * var * np.sqrt(2.0 / (trials - 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(0, 40),
+        n=st.integers(0, 40),
+        p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d=3, n=0, p=0.1, seed=0)
+    @example(d=0, n=3, p=0.1, seed=0)
+    @example(d=0, n=0, p=1.0, seed=0)
+    def test_canonical_csc(self, d, n, p, seed):
+        A = gen_bernoulli(d, n, p, seed=seed)
+        assert_canonical_ones(A, d, n)
+        if p == 1.0:
+            assert A.nnz == d * n
+        if p == 0.0:
+            assert A.nnz == 0
+
+    @pytest.mark.parametrize("d, n", [
+        (5, 5),
+        (2**50, 2**12),  # d n = 2^62
+        ((2**63 - 1) // 7, 7),  # d n = 2^63 - 1, the largest shape allowed
+    ])
+    def test_tiny_p_gives_no_entries(self, d, n):
+        # numpy saturates Geometric(1e-300) at 2^63 - 1: that gap must end
+        # the draw, neither wrap past 2^63 nor land on the last position
+        A = gen_bernoulli(d, n, 1e-300, seed=0)
+        assert A.nnz == 0
+        assert_canonical_ones(A, d, n)
+
+    def test_positions_near_the_int64_limit(self):
+        d, n = (2**63 - 1) // 7, 7
+        A = gen_bernoulli(d, n, 4.0 / (d * n), seed=1)
+        assert 0 < A.nnz < 30
+        assert_canonical_ones(A, d, n)
+
+    def test_memory_follows_nnz_not_shape(self):
+        # d n = 1e11 positions and about 1000 entries
+        tracemalloc.start()
+        try:
+            A = gen_bernoulli(10**7, 10**4, 1e-8, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 500 < A.nnz < 1500
+        assert peak < 2 * 2**20
+
+    def test_chunks_continue_where_the_last_ended(self, monkeypatch):
+        # a chunk holds enough gaps to finish the draw all but never, so
+        # force two gaps per chunk, every gap 3
+        class FixedGaps:
+            def geometric(self, p, size):
+                return np.full(min(size, 2), 3, dtype=np.int64)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedGaps())
+        A = gen_bernoulli(4, 5, 0.5)
+        flat = np.zeros(20)
+        flat[2::3] = 1.0  # column-major positions 2, 5, ..., 17
+        np.testing.assert_array_equal(A.toarray(), flat.reshape(5, 4).T)
+        assert_canonical_ones(A, 4, 5)
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError, match="2\\^63 - 1"):
+            gen_bernoulli(2**32, 2**32, 0.1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            gen_bernoulli(-1, 4, 0.1)
+
+    def test_same_seed_same_matrix(self):
+        A = gen_bernoulli(300, 500, 0.01, seed=9)
+        B = gen_bernoulli(300, 500, 0.01, seed=9)
+        C = gen_bernoulli(300, 500, 0.01, seed=10)
+        assert np.array_equal(A.col_ptr, B.col_ptr)
+        assert np.array_equal(A.row_idx, B.row_idx)
+        assert np.array_equal(A.values, B.values)
+        assert not (A.nnz == C.nnz and np.array_equal(A.row_idx, C.row_idx))
 
 
 class TestComputeAlpha:
