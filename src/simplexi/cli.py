@@ -62,6 +62,11 @@ USAGE_ERROR = 2
 NUMERICAL_ERROR = 1
 
 
+class UsageError(Exception):
+    """A malformed option, config file or environment setting; ``main``
+    prints it as one line and exits with ``USAGE_ERROR``."""
+
+
 def _parse_number(text: str) -> float:
     """Float parser that also accepts fractions like 1/500."""
     if "/" in text:
@@ -70,18 +75,40 @@ def _parse_number(text: str) -> float:
     return float(text)
 
 
+def _parse_int(key: str, value, low: int | None = None) -> int:
+    """An integer option's value; raises ``UsageError`` naming ``key`` if it
+    is not an integer or is below ``low``."""
+    try:
+        val = int(value)
+    except ValueError:
+        raise UsageError(f"{key} must be an integer, got {value!r}") from None
+    if low is not None and val < low:
+        raise UsageError(f"{key}={val} must be at least {low}")
+    return val
+
+
 def load_config_file(path: str) -> dict[str, str]:
-    """key=value lines; '#' starts a comment; blank lines ignored."""
+    """key=value lines; '#' starts a comment; blank lines ignored.
+
+    Raises ``UsageError`` if the file cannot be read or a line is not
+    key=value.
+    """
     out: dict[str, str] = {}
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, _, val = line.partition("=")
-            out[key.strip()] = val.strip()
+    try:
+        with open(path) as f:
+            lines = f.readlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise UsageError(f"cannot read config file {path}: not text") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
+        key, _, val = line.partition("=")
+        out[key.strip()] = val.strip()
     return out
 
 
@@ -95,14 +122,21 @@ def _resolve(args: argparse.Namespace, key: str, config: dict[str, str], default
     return default
 
 
+def _resolve_int(args: argparse.Namespace, key: str, config: dict[str, str],
+                 default: int | None = None, low: int | None = None) -> int | None:
+    """``_resolve`` for an integer option, parsed by ``_parse_int``."""
+    val = _resolve(args, key, config, default)
+    return None if val is None else _parse_int(key, val, low)
+
+
 def _resolve_seed(args, config) -> int:
     if getattr(args, "seed", None) is not None:
         return int(args.seed)
     env = os.environ.get("SIMPLEXI_SEED")
     if env is not None:
-        return int(env)
+        return _parse_int("SIMPLEXI_SEED", env)
     if "seed" in config:
-        return int(config["seed"])
+        return _parse_int("seed", config["seed"])
     return 0
 
 
@@ -243,13 +277,14 @@ def cmd_learn(args: argparse.Namespace) -> int:
     try:
         A, truth = _load_input(inp)
         cfg = LearnerConfig(
-            k=int(k),
+            k=_parse_int("k", k),
             delta=_parse_number(str(delta)),
-            sketch_cols=(int(v) if (v := _resolve(args, "sketch-cols", config)) else None),
+            sketch_cols=(_parse_int("sketch-cols", v)
+                         if (v := _resolve(args, "sketch-cols", config)) else None),
             seed=seed,
             selection_mode=_resolve(args, "selection-mode", config, "two_sided"),
             baseline=_resolve(args, "baseline", config, "sketch"),
-            power_multiplier=int(_resolve(args, "power-multiplier", config, 3)),
+            power_multiplier=_resolve_int(args, "power-multiplier", config, 3),
         )
     except (ValueError, FileNotFoundError) as exc:
         print(f"learn: {exc}", file=sys.stderr)
@@ -339,9 +374,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print("bench: --out and --k-list are required", file=sys.stderr)
         return USAGE_ERROR
     seed = _resolve_seed(args, config)
-    repeats = int(_resolve(args, "repeats", config, 5))
-    power_multiplier = int(_resolve(args, "power-multiplier", config, 3))
-    ks = [int(x) for x in str(k_list).split(",") if x]
+    repeats = _resolve_int(args, "repeats", config, 5)
+    power_multiplier = _resolve_int(args, "power-multiplier", config, 3)
+    ks = [_parse_int("k-list", x) for x in str(k_list).split(",") if x]
     edge_file = _resolve(args, "edge-file", config)
 
     cells: list[tuple[str, dict, object]] = []  # (label, meta, matrix)
@@ -350,8 +385,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             mode = _resolve(args, "edge-mode", config, "square")
             with open(edge_file) as f:
                 if mode == "bipartite":
-                    d = int(_resolve(args, "d", config))
-                    n = int(_resolve(args, "n", config))
+                    d = _resolve_int(args, "d", config)
+                    n = _resolve_int(args, "n", config)
                     parsed = parse_edge_list(f, mode="bipartite", d=d, n=n, seed=seed)
                 else:
                     parsed = parse_edge_list(f, mode="square")
@@ -365,7 +400,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             if not p_list or d is None or n is None:
                 print("bench: synthetic grid needs --d, --n and --p-list", file=sys.stderr)
                 return USAGE_ERROR
-            d, n = int(d), int(n)
+            d, n = _parse_int("d", d), _parse_int("n", n)
             ps = [_parse_number(x) for x in str(p_list).split(",") if x]
             if not ps or not ks:
                 print("bench: empty grid", file=sys.stderr)
@@ -380,7 +415,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     loss_delta = _resolve(args, "loss-delta", config)
     with_loss = loss_delta is not None
-    loss_sample = int(_resolve(args, "loss-sample", config, 200))
+    loss_sample = _resolve_int(args, "loss-sample", config, 200)
 
     os.makedirs(out, exist_ok=True)
     nan = float("nan")
@@ -479,8 +514,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return USAGE_ERROR
     seed = _resolve_seed(args, config)
-    sample = int(_resolve(args, "sample", config, 200))
-    trials = int(_resolve(args, "smoothing-trials", config, 1000))
+    sample = _resolve_int(args, "sample", config, 200, low=1)
+    trials = _resolve_int(args, "smoothing-trials", config, 1000)
     try:
         inst = load_instance(inst_dir)
     except (FileNotFoundError, ValueError) as exc:
@@ -671,6 +706,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except LearnerError as exc:
         print(f"simplexi: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR

@@ -3,12 +3,15 @@
 After the factorization builds the rank-k factors (Y, Z), each of the
 k selection rounds works entirely inside the factored form: a random
 direction is drawn in the column space of Y, projected away from the
-vertices found so far, pushed through Z^T to score every column, and
-the best-scoring block of columns is averaged into a new vertex.
-Only those selected columns of A are ever read again.  A round costs
-the O((n + d) k) scoring product, a few linear scans of the n scores
-(past n = 2^16 a strided sample fixes each side's cut, so only the
-entries past it are partitioned), and a read of the s selected columns.
+vertices found so far, pushed through Z^T to score every column that
+holds an entry (an empty column's row of Z is zero, so it scores 0),
+and the best-scoring block of columns is averaged into a new vertex.
+Only those selected columns of A are ever read again.  With m the
+number of columns that hold an entry, a round costs the O(d k + m k)
+scoring product, the O(n) fill of its score row, a few linear scans of
+the n scores (past n = 2^16 a strided sample fixes each side's cut, so
+only the entries past it are partitioned), and a read of the s
+selected columns.
 
 The factorization reads A twice with the sketch (the sketch, then
 A^T Q; hyper-sparse input takes one more pass for Z) and twice per
@@ -86,7 +89,8 @@ class VertexEstimates:
 
     ``vertices[:, t]`` is exactly the mean of the columns of A indexed by
     ``index_sets[t]``; ``directions[t]`` is the score vector whose top
-    block produced that set (kept for audit).
+    block produced that set (kept for audit).  A column of A with no
+    entry scores +0.0 in every direction.
     """
 
     vertices: np.ndarray  # d x k
@@ -200,7 +204,10 @@ def select_vertices(
 ) -> VertexEstimates:
     """Selection phase: k rounds of project-score-average.
 
-    Reads A only through ``column_subset_mean`` on the selected column
+    Z must be A^T Y as ``compute_factors`` returns it, so the row of
+    every column of A without an entry is zero: those rows are not
+    read, and those columns score +0.0.  Reads A only through its
+    column counts and ``column_subset_mean`` on the selected column
     sets; everything else happens on the factors.
     """
     d, n = A.shape
@@ -212,7 +219,11 @@ def select_vertices(
 
     vertices: list[np.ndarray] = []
     index_sets: list[np.ndarray] = []
-    D = np.empty((cfg.k, n))  # row t holds round t's scores
+    live = np.flatnonzero(A.column_nnz())
+    # dense input scores Z itself, with no copy and the same BLAS call;
+    # take copies whole rows, which is faster here than Z[live]
+    Z_live = Z if live.size == n else Z.take(live, axis=0)
+    D = np.zeros((cfg.k, n))  # row t holds round t's scores
     U_t = Basis(np.zeros((d, 0)))  # orthonormal basis of the vertices found so far
     for t in range(cfg.k):
         if vertices:
@@ -236,8 +247,8 @@ def select_vertices(
                 f"{len(vertices)} selected vertices after {_REDRAW_LIMIT} redraws"
             )
         h_prime = h_prime / np.linalg.norm(h_prime)
-        u = np.matmul(h_prime @ Y, Z.T, out=D[t])  # n-vector, O((n + d) k) per round
-        R_t = select_indices(u, s, cfg.selection_mode)
+        D[t, live] = np.matmul(h_prime @ Y, Z_live.T)  # O((d + m) k) per round
+        R_t = select_indices(D[t], s, cfg.selection_mode)
         vertices.append(column_subset_mean(A, R_t))
         index_sets.append(R_t)
 

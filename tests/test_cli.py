@@ -510,6 +510,68 @@ class TestBench:
         assert sketch < topk  # the sketch phase is the faster leg
 
 
+# each subcommand's required options; the inputs they name are never read,
+# because every case below fails before the subcommand loads anything
+_REQUIRED = {
+    "gen": ["--model", "raw", "--d", "4", "--n", "5", "--p", "0.5"],
+    "learn": ["--input", "absent", "--k", "2", "--delta", "0.1"],
+    "bench": ["--d", "20", "--n", "30", "--p-list", "0.1", "--k-list", "2"],
+    "eval": ["--instance", "absent", "--estimates", "absent.txt"],
+}
+_MISSING = object()  # stands for a --config path that names no file
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("command, config, env, extra, message", [
+        *[pytest.param(cmd, _MISSING, None, [],
+                       f"{cmd}: cannot read config file {{cfg}}: No such file or directory",
+                       id=f"missing-config-{cmd}") for cmd in _REQUIRED],
+        *[pytest.param(cmd, "# settings\nseed 3\n", None, [],
+                       f"{cmd}: {{cfg}}:2: expected key=value, got 'seed 3'",
+                       id=f"bad-config-line-{cmd}") for cmd in _REQUIRED],
+        pytest.param("eval", b"seed=\xff\n", None, [],
+                     "eval: cannot read config file {cfg}: not text", id="binary-config"),
+        pytest.param("learn", None, "abc", [],
+                     "learn: SIMPLEXI_SEED must be an integer, got 'abc'", id="env-seed"),
+        pytest.param("gen", "seed=abc\n", None, [],
+                     "gen: seed must be an integer, got 'abc'", id="config-seed"),
+        pytest.param("eval", "sample=ten\n", None, [],
+                     "eval: sample must be an integer, got 'ten'", id="eval-sample"),
+        pytest.param("eval", "smoothing-trials=1.5\n", None, [],
+                     "eval: smoothing-trials must be an integer, got '1.5'",
+                     id="eval-smoothing-trials"),
+        pytest.param("bench", "repeats=x\n", None, [],
+                     "bench: repeats must be an integer, got 'x'", id="bench-repeats"),
+        pytest.param("bench", "power-multiplier=x\n", None, [],
+                     "bench: power-multiplier must be an integer, got 'x'",
+                     id="bench-power-multiplier"),
+        pytest.param("bench", "loss-sample=x\n", None, [],
+                     "bench: loss-sample must be an integer, got 'x'", id="bench-loss-sample"),
+        pytest.param("bench", None, None, ["--k-list", "2,x"],
+                     "bench: k-list must be an integer, got 'x'", id="bench-k-list"),
+        pytest.param("eval", None, None, ["--sample", "0"],
+                     "eval: sample=0 must be at least 1", id="eval-sample-0"),
+        pytest.param("eval", None, None, ["--sample", "-3"],
+                     "eval: sample=-3 must be at least 1", id="eval-sample-negative"),
+    ])
+    def test_exit_2_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                  command, config, env, extra, message):
+        monkeypatch.delenv("SIMPLEXI_SEED", raising=False)
+        if env is not None:
+            monkeypatch.setenv("SIMPLEXI_SEED", env)
+        cfg = tmp_path / "run.cfg"
+        argv = [command, *_REQUIRED[command], "--out", str(tmp_path / "out"), *extra]
+        if config is not None:
+            if isinstance(config, bytes):
+                cfg.write_bytes(config)
+            elif config is not _MISSING:
+                cfg.write_text(config)
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == message.format(cfg=cfg) + "\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestSvgOutputs:
     def test_line_chart_is_valid_xml_with_data(self, tmp_path):
         xs = [1.0, 2.0, 3.0]

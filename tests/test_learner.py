@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import simplexi.learner as learner_mod
+import simplexi.sketch as sketch_mod
 from simplexi.learner import (
     LearnerConfig,
     LearnerError,
@@ -25,6 +26,7 @@ from simplexi.learner import (
 from simplexi.metrics import match_vertices
 from simplexi.models import gen_bernoulli
 from simplexi.sparsemat import column_subset_mean
+from simplexi.subspace import Basis, extend_basis, project_out
 
 from conftest import dense_to_csc, duplicated_vertex_instance, random_sparse
 
@@ -317,13 +319,16 @@ class TestDeterminismAndConsistency:
     def test_blas_thread_count_does_not_change_estimates(self):
         # the first matrix takes the streaming Gram route, the second (hyper-
         # sparse) the A A^T route; both compress their k^2-wide sketch; the
-        # third has n past the gate of select_indices' sampled cut
+        # third has n past the gate of select_indices' sampled cut; in the
+        # fourth, 4197 of the 30001 columns hold an entry, and neither count
+        # is a multiple of 8, so the live scoring product ends in BLAS's
+        # remainder rows
         script = textwrap.dedent("""
             import hashlib
             import numpy as np
             from simplexi import LearnerConfig, gen_bernoulli, learn_simplex
             for d, n, p, k in ((300, 3000, 0.05, 8), (1000, 20000, 2e-4, 16),
-                               (200, 70000, 5e-4, 4)):
+                               (200, 70000, 5e-4, 4), (500, 30001, 3e-4, 6)):
                 A = gen_bernoulli(d, n, p, 4)
                 est = learn_simplex(A, LearnerConfig(k=k, delta=0.01, seed=3))
                 h = hashlib.sha256()
@@ -341,7 +346,7 @@ class TestDeterminismAndConsistency:
                 text=True, timeout=120, check=True,
             )
             digests.append(out.stdout.split())
-        assert [len(x) for x in digests[0]] == [64, 64, 64]
+        assert [len(x) for x in digests[0]] == [64, 64, 64, 64]
         assert digests[0] == digests[1]
 
 
@@ -390,6 +395,168 @@ class TestSelectionReadsOnlySelectedColumns:
         np.testing.assert_array_equal(np.sort(seen), np.sort(expected))
         s = cfg.smoothing_size(400)
         assert seen.size == 3 * s  # nothing outside the selected sets
+
+
+def reference_select_vertices(A, Y, Z, cfg):
+    """select_vertices scoring every column with one product over all of Z:
+    the loop the live-column scoring must reproduce."""
+    d, n = A.shape
+    s = cfg.smoothing_size(n)
+    rng = np.random.default_rng(learner_mod._seeds(cfg)[1])
+    kf = Y.shape[1]
+    rank_deficient = kf < cfg.k
+    vertices, index_sets = [], []
+    D = np.empty((cfg.k, n))
+    U_t = Basis(np.zeros((d, 0)))
+    for t in range(cfg.k):
+        if vertices:
+            U_t = extend_basis(U_t, vertices[-1])
+        h_prime = None
+        for _ in range(learner_mod._REDRAW_LIMIT):
+            h = Y @ rng.standard_normal(kf)
+            hn = np.linalg.norm(h)
+            if hn == 0.0:
+                continue
+            cand = project_out(h, U_t)
+            if np.linalg.norm(cand) > learner_mod._DEGENERATE_REL * hn:
+                h_prime = cand
+                break
+        if h_prime is None:
+            if rank_deficient:
+                break
+            raise LearnerError(f"round {t}: direction collapsed")
+        h_prime = h_prime / np.linalg.norm(h_prime)
+        u = np.matmul(h_prime @ Y, Z.T, out=D[t])
+        R_t = select_indices(u, s, cfg.selection_mode)
+        vertices.append(column_subset_mean(A, R_t))
+        index_sets.append(R_t)
+    V = np.column_stack(vertices) if vertices else np.zeros((d, 0))
+    return VertexEstimates(V, tuple(index_sets), D[: len(vertices)], rank_deficient)
+
+
+def _with_empty_columns(d, n, m, rank, seed):
+    """d x n matrix whose m columns at random positions hold entries and the
+    rest none; rank < d gives live columns B W of that rank, all entries
+    nonzero, otherwise each live column keeps a random subset of its rows."""
+    rng = np.random.default_rng(seed)
+    live = np.sort(rng.choice(n, size=m, replace=False))
+    if rank < d:
+        X = rng.uniform(0.2, 1.0, (d, rank)) @ rng.uniform(0.1, 1.0, (rank, m))
+    else:
+        X = rng.uniform(0.2, 1.0, (d, m)) * (rng.random((d, m)) < 0.4)
+        X[rng.integers(0, d, m), np.arange(m)] = 1.0  # at least one entry per column
+    dense = np.zeros((d, n))
+    dense[:, live] = X
+    return dense_to_csc(dense)
+
+
+def _selection_or_error(A, Y, Z, cfg, select):
+    try:
+        return select(A, Y, Z, cfg)
+    except LearnerError:
+        return None
+
+
+class TestLiveColumnScoring:
+    """Selection scores only the columns that hold an entry; the others
+    score +0.0 without their rows of Z being read."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(4, 24),
+        n=st.integers(9, 300),
+        live_share=st.floats(0.02, 0.9),
+        k=st.integers(2, 4),
+        rank=st.integers(1, 24),
+        s_share=st.floats(0.0, 1.0),
+        mode=st.sampled_from(["two_sided", "abs"]),
+    )
+    # s above m: zero scores fill the set, lowest index first
+    @example(seed=1, d=12, n=203, live_share=0.07, k=3, rank=12, s_share=0.2, mode="two_sided")
+    @example(seed=3, d=9, n=131, live_share=0.1, k=2, rank=9, s_share=0.5, mode="abs")
+    # rank below k: a rank-deficient prefix
+    @example(seed=2, d=10, n=77, live_share=0.5, k=4, rank=2, s_share=0.05, mode="two_sided")
+    def test_matches_full_scoring_and_never_reads_empty_rows(
+        self, seed, d, n, live_share, k, rank, s_share, mode
+    ):
+        m = min(n - 1, max(1, round(live_share * n)))
+        A = _with_empty_columns(d, n, m, min(rank, d), seed)
+        s = 1 + int(s_share * (n - 1))
+        cfg = LearnerConfig(k=k, delta=min(1.0, (s + 0.5) / n), seed=seed % 1000,
+                            selection_mode=mode)
+        assert cfg.smoothing_size(n) == s
+        Y, Z, _ = compute_factors(A, cfg)
+        empty = A.column_nnz() == 0
+        assert empty.sum() == n - m and np.all(Z[empty] == 0.0)
+
+        est = _selection_or_error(A, Y, Z, cfg, select_vertices)
+        ref = _selection_or_error(A, Y, Z, cfg, reference_select_vertices)
+        assert (est is None) == (ref is None)
+        if est is None:
+            return
+        assert est.rank_deficient == ref.rank_deficient
+        assert len(est.index_sets) == len(ref.index_sets)
+        for R, R_ref in zip(est.index_sets, ref.index_sets):
+            np.testing.assert_array_equal(R, R_ref)
+        assert np.array_equal(est.vertices, ref.vertices)
+        assert est.directions.shape == ref.directions.shape
+        for u, u_ref in zip(est.directions, ref.directions):
+            # the live product may round its last rows differently from the
+            # full one, by a few ulps of an entry
+            assert np.all(np.abs(u - u_ref) <= 1e-15 * np.abs(u_ref).max())
+            assert np.all(u[empty] == 0.0) and not np.signbit(u[empty]).any()
+
+        poisoned = Z.copy()
+        poisoned[empty] = np.nan
+        again = select_vertices(A, Y, poisoned, cfg)
+        assert np.array_equal(again.vertices, est.vertices)
+        assert np.array_equal(again.directions, est.directions)
+        for R, R_est in zip(again.index_sets, est.index_sets):
+            np.testing.assert_array_equal(R, R_est)
+
+    @pytest.mark.parametrize("d, n, density", [(20, 301, 1.0), (30, 1003, 0.3)])
+    def test_no_empty_column_is_bit_identical(self, d, n, density):
+        rng = np.random.default_rng(n)
+        dense = rng.uniform(0.2, 1.0, (d, n)) * (rng.random((d, n)) < density)
+        dense[0] = np.where(dense[0] == 0.0, 0.5, dense[0])  # every column holds an entry
+        A = dense_to_csc(dense)
+        cfg = LearnerConfig(k=4, delta=0.05, seed=11)
+        Y, Z, _ = compute_factors(A, cfg)
+        est = select_vertices(A, Y, Z, cfg)
+        ref = reference_select_vertices(A, Y, Z, cfg)
+        assert np.array_equal(est.vertices, ref.vertices)
+        assert np.array_equal(est.directions, ref.directions)
+        for R, R_ref in zip(est.index_sets, ref.index_sets):
+            np.testing.assert_array_equal(R, R_ref)
+
+    @pytest.mark.parametrize("baseline, shape, density, streaming", [
+        ("sketch", (25, 120), 0.3, True),
+        ("sketch", (200, 2000), 0.005, False),
+        ("power_iteration", (25, 120), 0.3, None),
+    ], ids=["stream-gram", "aat-gram", "power-iteration"])
+    def test_factor_routes_give_zero_rows_for_empty_columns(
+        self, monkeypatch, baseline, shape, density, streaming
+    ):
+        routes = []
+        gram = sketch_mod._projected_gram
+
+        def spy(A, Q):
+            G, Wt = gram(A, Q)
+            routes.append(Wt is not None)
+            return G, Wt
+
+        monkeypatch.setattr(sketch_mod, "_projected_gram", spy)
+        d, n = shape
+        rng = np.random.default_rng(5)
+        dense = rng.uniform(0.2, 1.0, shape) * (rng.random(shape) < density)
+        dense[:, rng.random(n) < 0.3] = 0.0
+        A = dense_to_csc(dense)
+        Y, Z, _ = compute_factors(A, LearnerConfig(k=3, delta=0.1, seed=4, baseline=baseline))
+        assert routes == ([] if streaming is None else [streaming])
+        empty = A.column_nnz() == 0
+        assert 0 < empty.sum() < n and Y.shape[1] == 3
+        assert np.all(Z[empty] == 0.0)
 
 
 class TestDegenerateInputs:
