@@ -50,7 +50,7 @@ from .sparsemat import (
     left_apply,
     parse_edge_list,
     right_apply,
-    spectral_norm_est,
+    spectral_norm,
 )
 from .subspace import Basis, orthonormalize, project_out, sin_theta
 

@@ -359,7 +359,7 @@ def _time_phases(A, k: int, power_multiplier: int, seed: int) -> tuple[float, fl
     t_sketch = time.perf_counter() - t0
     T = default_power_iters(A.rows, power_multiplier)
     t0 = time.perf_counter()
-    res = subspace_power(A, k, T, seed=seed, probe_iters=0)
+    res = subspace_power(A, k, T, seed=seed)
     Wt = np.asarray(A._scipy.T @ res.basis)
     np.linalg.svd(Wt, full_matrices=False)  # exact small SVD of the projected matrix
     t_topk = time.perf_counter() - t0

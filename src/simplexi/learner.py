@@ -190,8 +190,7 @@ def compute_factors(A: SparseColMatrix, cfg: LearnerConfig):
     seed_fac, _ = _seeds(cfg)
     if cfg.baseline == "power_iteration":
         T = default_power_iters(d, cfg.power_multiplier)
-        # the residual probe's gap ratio is not used here, so skip its passes
-        res = subspace_power(A, cfg.k, T, seed=seed_fac, probe_iters=0)
+        res = subspace_power(A, cfg.k, T, seed=seed_fac)
         Y = res.basis
         Z = np.asarray(A._scipy.T @ Y)
         return Y, Z, res.redraws > 0

@@ -11,13 +11,7 @@ import scipy.sparse as sp
 
 from .learner import VertexEstimates
 from .sketch import _tail_norms
-from .sparsemat import (
-    LinearOp,
-    SparseColMatrix,
-    left_apply,
-    right_apply,
-    spectral_norm_est,
-)
+from .sparsemat import SparseColMatrix, left_apply, right_apply, spectral_norm
 from .subspace import orthonormalize
 
 __all__ = [
@@ -32,6 +26,8 @@ __all__ = [
 ]
 
 VertexSource = Union[VertexEstimates, np.ndarray, Sequence[np.ndarray]]
+
+DENSE_RESIDUAL_LIMIT = 50_000_000  # d * n up to which reduction_check densifies A
 
 
 def _vertex_matrix(vertices: VertexSource) -> np.ndarray:
@@ -177,7 +173,9 @@ def reduction_check(
     the span of the recovered vertices is at most the rank-k tail budget
     ||A - A_k||_2^2 + n^(-1/3) ||A - A_k||_F^2.  ``lam`` holds A's
     squared singular values, nonincreasing, from the dense spectrum
-    oracle (``sketch._squared_singular_values``)."""
+    oracle (``sketch._squared_singular_values``).  Above
+    ``DENSE_RESIDUAL_LIMIT`` entries the residual is applied as an
+    operator and its norm comes from ``sparsemat.spectral_norm``."""
     V = _vertex_matrix(est)
     d, n = A.shape
     Q = orthonormalize(V).cols
@@ -185,17 +183,16 @@ def reduction_check(
     bound = spec_tail**2 + frob_tail_sq / float(n) ** (1.0 / 3.0)
     floor = 1e-12 * float(np.sum(A.values * A.values))  # rounding allowance
 
-    if d * n <= 50_000_000:
+    if d * n <= DENSE_RESIDUAL_LIMIT:
         Ad = A.toarray()
         R = Ad - Q @ (Q.T @ Ad)
         residual = float(np.linalg.svd(R, compute_uv=False)[0]) ** 2
     else:
-        op = LinearOp(
+        top = spectral_norm(
             A.shape,
             lambda x: (lambda w: w - Q @ (Q.T @ w))(right_apply(A, x)),
             lambda y: left_apply(y - Q @ (Q.T @ y), A),
         )
-        top = spectral_norm_est(op, tol=1e-9, seed=0).value
         residual = top * top
     return ReductionCheck(residual, bound, bool(residual <= bound + floor))
 

@@ -19,7 +19,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .sparsemat import (
-    LinearOp,
     SparseColMatrix,
     _check_shape,
     from_scipy,
@@ -29,7 +28,7 @@ from .sparsemat import (
     right_apply,
     save_dense_block,
     save_matrix_snapshot,
-    spectral_norm_est,
+    spectral_norm,
 )
 from .subspace import orthonormalize, project_out
 
@@ -129,16 +128,17 @@ def compute_alpha(M: np.ndarray) -> float:
 
 
 def compute_sigma(A: SparseColMatrix, M: np.ndarray, W: np.ndarray, seed: int = 0) -> float:
-    """Measured ||A - M W||_2 / sqrt(n).  The difference is applied
-    operator-style with P = M W in factored form (neither A nor P is
-    densified), so each power step costs O(nnz(A) + (n + d) k)."""
-    op = LinearOp(
+    """Measured ||A - M W||_2 / sqrt(n), from ``spectral_norm`` with ``seed``.
+    The difference is applied operator-style with P = M W in factored
+    form (neither A nor P is densified), so each Lanczos step costs
+    O(nnz(A) + (n + d) k)."""
+    top = spectral_norm(
         A.shape,
         lambda x: right_apply(A, x) - M @ (W @ x),
         lambda y: left_apply(y, A) - (y @ M) @ W,
+        seed=seed,
     )
-    est = spectral_norm_est(op, tol=1e-11, max_iter=500, seed=seed)
-    return est.value / np.sqrt(A.cols)
+    return top / np.sqrt(A.cols)
 
 
 def fit_delta(M: np.ndarray, P: np.ndarray, sigma: float) -> float:

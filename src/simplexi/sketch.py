@@ -70,7 +70,6 @@ class RankKFactors:
     Z: np.ndarray  # n x k
     k: int
     rank_deficient: bool = False
-    basis_rank: int = 0
 
 
 def make_countsketch(n: int, c: int, seed: int) -> CountSketch:
@@ -241,7 +240,7 @@ def mixed_lra(
 
     Q = _orth_columns(C)
     if Q.shape[1] == 0:
-        return RankKFactors(np.zeros((d, 0)), np.zeros((n, 0)), 0, True, 0)
+        return RankKFactors(np.zeros((d, 0)), np.zeros((n, 0)), 0, True)
 
     G, Wt = _projected_gram(A, Q)
     lam, vecs = np.linalg.eigh(G)
@@ -250,14 +249,14 @@ def mixed_lra(
     positive = int(np.sum(lam > max(lam[0], 0.0) * len(lam) * np.finfo(float).eps))
     kk = min(k, positive)
     if kk == 0:
-        return RankKFactors(np.zeros((d, 0)), np.zeros((n, 0)), 0, True, Q.shape[1])
+        return RankKFactors(np.zeros((d, 0)), np.zeros((n, 0)), 0, True)
     # contiguous: numpy's OpenBLAS threads the n x r by r x kk product when
     # V is a strided view, and its idle workers then spin on the second core
     V = np.ascontiguousarray(vecs[:, :kk])
     Y = Q @ V
     # Z^T = Y^T A, so B = Y Z^T projects A onto span(Y); A^T Y = (A^T Q) V
     Z = Wt @ V if Wt is not None else np.asarray(A._scipy.T @ Y)
-    return RankKFactors(Y, Z, kk, kk < k, Q.shape[1])
+    return RankKFactors(Y, Z, kk, kk < k)
 
 
 def _squared_singular_values(A: SparseColMatrix) -> np.ndarray:
@@ -308,14 +307,10 @@ def singular_values(A: SparseColMatrix) -> np.ndarray:
 class PowerIterationResult:
     """Output of the subspace power method.
 
-    ``converged`` is cleared when the iterate was still moving at the
-    final step or when the residual probe found no spectral gap below
-    the recovered subspace.  ``redraws`` counts rank-deficiency repairs.
+    ``redraws`` counts rank-deficiency repairs.
     """
 
     basis: np.ndarray  # d x k, orthonormal columns
-    converged: bool
-    tail_ratio: float
     redraws: int
     iterates: list[np.ndarray] | None = None
 
@@ -330,15 +325,14 @@ def subspace_power(
     k: int,
     T: int,
     seed: int = 0,
-    probe_iters: int = 6,
     keep_iterates: bool = False,
 ) -> PowerIterationResult:
     """Orthogonal iteration Q <- orth(A A^T Q) for the top-k left subspace.
 
-    Each iteration costs O(nnz(A) * k) plus a Householder QR of a d x k
+    Each iteration costs O(nnz(A) * k) plus a QR of a d x k
     block.  Rank-deficient iterates are repaired by re-randomizing the
-    dropped directions.  A short residual probe estimates the first
-    singular value below the subspace to report the gap ratio.
+    dropped directions.  It runs exactly T iterations and reports no
+    convergence verdict.
     """
     d, n = A.shape
     if not 1 <= k <= min(d, n):
@@ -350,7 +344,6 @@ def subspace_power(
     Q = np.linalg.qr(rng.standard_normal((d, k)))[0]
     iterates = [Q] if keep_iterates else None
     redraws = 0
-    movement = 1.0
     for _ in range(T):
         Z = np.asarray(M @ (M.T @ Q))
         Qn = _cholqr2(Z)
@@ -374,33 +367,7 @@ def subspace_power(
                     raise RankRestoreError(
                         "subspace power iteration could not restore full rank"
                     )
-        sv = np.linalg.svd(Q.T @ Qn, compute_uv=False)
-        movement = float(np.sqrt(max(0.0, 1.0 - min(1.0, sv.min()) ** 2)))
         Q = Qn
         if keep_iterates:
             iterates.append(Q)
-
-    tail_ratio = 0.0
-    if probe_iters > 0:
-        W = np.asarray(M.T @ Q)  # n x k
-        lam = np.linalg.eigvalsh(W.T @ W)
-        sigma_k = math.sqrt(max(lam.min(), 0.0))
-        x = rng.standard_normal(n)
-        x /= np.linalg.norm(x)
-        sigma_next = 0.0
-        for _ in range(probe_iters):
-            w = np.asarray(M @ x)
-            w -= Q @ (Q.T @ w)
-            sigma_next = float(np.linalg.norm(w))
-            if sigma_next == 0.0:
-                break
-            x = np.asarray(w @ M)
-            nx = np.linalg.norm(x)
-            if nx == 0.0:
-                break
-            x /= nx
-        tail_ratio = sigma_next / sigma_k if sigma_k > 0 else 1.0
-    # sqrt(1 - c^2) resolves angles only to sqrt(eps), so 1e-6 is the
-    # tightest meaningful stillness threshold
-    converged = movement <= 1e-6 and tail_ratio < 0.999
-    return PowerIterationResult(Q, converged, tail_ratio, redraws, iterates)
+    return PowerIterationResult(Q, redraws, iterates)

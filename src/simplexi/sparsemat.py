@@ -2,8 +2,9 @@
 
 Compressed sparse-column storage for the (usually large) observation
 matrix, the matrix-vector / matrix-matrix kernels everything else is
-built on, a seeded power-method spectral-norm estimator, and parsers
-for whitespace edge lists and the text snapshot format.
+built on, the spectral norm of a matrix-free operator through scipy's
+seeded Lanczos solver, and parsers for whitespace edge lists and the
+text snapshot format.
 
 All matrices are immutable after construction and every operation here
 is a pure function, so they are safe to call from concurrent code.
@@ -14,22 +15,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Sequence, TextIO, Union
+from typing import Callable, Iterable, Sequence, TextIO, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
     "SparseColMatrix",
-    "LinearOp",
-    "NormEstimate",
     "ParsedEdgeList",
     "build_csc",
     "from_scipy",
     "right_apply",
     "left_apply",
     "column_subset_mean",
-    "spectral_norm_est",
+    "spectral_norm",
     "parse_edge_list",
     "save_matrix_snapshot",
     "load_matrix_snapshot",
@@ -215,73 +214,40 @@ def column_subset_mean(A: SparseColMatrix, S: np.ndarray) -> np.ndarray:
     return np.bincount(A.row_idx[pos], weights=A.values[pos], minlength=A.rows) / S.size
 
 
-class LinearOp(NamedTuple):
-    """Minimal matrix-free operator: shape plus matvec/rmatvec closures."""
-
-    shape: tuple[int, int]
-    matvec: Callable[[np.ndarray], np.ndarray]
-    rmatvec: Callable[[np.ndarray], np.ndarray]
-
-
-class NormEstimate(NamedTuple):
-    value: float
-    converged: bool
-    iterations: int
-
-
-MatrixLike = Union[SparseColMatrix, LinearOp]
-
-
-def _as_linear_op(A: MatrixLike) -> LinearOp:
-    if isinstance(A, LinearOp):
-        return A
-    return LinearOp(A.shape, lambda x: right_apply(A, x), lambda y: left_apply(y, A))
-
-
-def spectral_norm_est(
-    A: MatrixLike,
-    tol: float = 1e-6,
-    max_iter: int = 300,
+def spectral_norm(
+    shape: tuple[int, int],
+    matvec: Callable[[np.ndarray], np.ndarray],
+    rmatvec: Callable[[np.ndarray], np.ndarray],
     seed: int = 0,
-) -> NormEstimate:
-    """Power-method estimate of the spectral norm ``||A||_2``.
+) -> float:
+    """Spectral norm of the matrix-free d x n operator x -> matvec(x),
+    y -> rmatvec(y), from scipy's Lanczos solver (``svds``, k=1) started
+    at a seeded Gaussian vector."""
+    from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 
-    Iterates x <- A^T (A x) from a seeded random unit vector and returns
-    the Rayleigh estimate once its relative change drops below ``tol``.
-    If the top eigenvalue is degenerate or ``max_iter`` is exhausted the
-    best estimate is returned with ``converged=False``.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    op = _as_linear_op(A)
-    d, n = op.shape
-    if d == 0 or n == 0:
-        return NormEstimate(0.0, True, 0)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    est = 0.0
-    quiet = 0
-    for it in range(1, max_iter + 1):
-        w = op.matvec(x)
-        new_est = float(np.linalg.norm(w))
-        if new_est == 0.0:
-            return NormEstimate(0.0, True, it)
-        x = op.rmatvec(w)
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            return NormEstimate(new_est, True, it)
-        x /= nx
-        # two consecutive quiet steps, so a slowly mixing iterate does
-        # not stop on one small increment
-        if abs(new_est - est) <= tol * max(new_est, np.finfo(float).tiny):
-            quiet += 1
-            if quiet >= 2:
-                return NormEstimate(new_est, True, it)
-        else:
-            quiet = 0
-        est = new_est
-    return NormEstimate(est, False, max_iter)
+    d, n = shape
+    if min(d, n) < 2:  # svds needs k < min(d, n); the operator is a vector
+        if d == 0 or n == 0:
+            return 0.0
+        return float(np.linalg.norm(matvec(np.ones(1)) if n == 1 else rmatvec(np.ones(1))))
+    # svds also applies the operator to single-column blocks
+    op = LinearOperator(
+        shape,
+        matvec=lambda x: matvec(x.ravel()),
+        rmatvec=lambda y: rmatvec(y.ravel()),
+        dtype=np.float64,
+    )
+    v0 = np.random.default_rng(seed).standard_normal(min(d, n))
+    try:
+        return float(svds(op, k=1, v0=v0, return_singular_vectors=False)[0])
+    except ArpackError:
+        # ARPACK's error -9, "starting vector is zero": svds iterates on the
+        # min(d, n)-side Gram operator, and it mapped v0 to zero, which for
+        # a Gaussian v0 means the operator is zero to within float range
+        gram_v0 = rmatvec(matvec(v0)) if d >= n else matvec(rmatvec(v0))
+        if np.any(gram_v0):
+            raise
+        return 0.0
 
 
 @dataclass(frozen=True)

@@ -221,7 +221,7 @@ def test_criterion_06_runtime_ordering():
         mixed_lra(A, k, c=k * k, seed=seed)
 
     def topk_phase(seed):
-        res = subspace_power(A, k, T, seed=seed, probe_iters=0)
+        res = subspace_power(A, k, T, seed=seed)
         Wt = np.asarray(A._scipy.T @ res.basis)
         np.linalg.svd(Wt, full_matrices=False)
 

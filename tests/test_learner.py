@@ -232,20 +232,6 @@ class TestNoiselessRecovery:
         )
         assert match_vertices(est, M).max_error <= 1e-8
 
-    def test_power_iteration_baseline_skips_tail_probe(self, monkeypatch):
-        # the probe's gap ratio is discarded, so its 2 * probe_iters + 1 passes are waste
-        seen = []
-        real = learner_mod.subspace_power
-
-        def recording(*args, **kwargs):
-            seen.append(kwargs.get("probe_iters"))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(learner_mod, "subspace_power", recording)
-        A, _, _ = duplicated_vertex_instance(d=12, k=3, n=300, delta=0.1, seed=2)
-        compute_factors(A, LearnerConfig(k=3, delta=0.1, seed=5, baseline="power_iteration"))
-        assert seen == [0]
-
 
 class TestNoisyRecovery:
     def test_two_vertices_under_noise(self):

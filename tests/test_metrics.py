@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import simplexi.metrics as metrics_mod
 from simplexi.learner import LearnerConfig, learn_simplex
 from simplexi.metrics import (
     _smoothing_subsets,
@@ -184,6 +185,27 @@ class TestReductionCheck:
         res1 = reduction_check(A, V, 3, lam)
         res2 = reduction_check(A, V @ R, 3, lam)
         assert res1.spectral_residual == pytest.approx(res2.spectral_residual, rel=1e-9)
+
+    def test_operator_path_matches_dense_path(self, monkeypatch):
+        A = random_sparse(20, 80, 0.3, seed=3)
+        V = np.random.default_rng(3).standard_normal((20, 3))
+        lam = _squared_singular_values(A)
+        dense = reduction_check(A, V, 3, lam)
+        monkeypatch.setattr(metrics_mod, "DENSE_RESIDUAL_LIMIT", 0)
+        op = reduction_check(A, V, 3, lam)
+        assert op.spectral_residual == pytest.approx(dense.spectral_residual, rel=1e-10)
+        assert (op.lra_bound, op.passes) == (dense.lra_bound, dense.passes)
+
+    def test_operator_path_exact_span_passes(self, monkeypatch):
+        # A is supported on rows 0-2 and V spans them, so the projected
+        # residual is exactly the zero operator
+        A = random_sparse(10, 50, 0.4, seed=4).toarray()
+        A[3:] = 0.0
+        A = dense_to_csc(A)
+        monkeypatch.setattr(metrics_mod, "DENSE_RESIDUAL_LIMIT", 0)
+        res = reduction_check(A, np.eye(10)[:, :3], 3, _squared_singular_values(A))
+        assert res.spectral_residual == 0.0
+        assert res.passes
 
 
 def _loop_draws(n, trials, seed):

@@ -318,6 +318,22 @@ class TestComputeSigma:
         dense_norm = np.linalg.norm(inst.A.toarray() - inst.P, ord=2)
         assert inst.sigma == pytest.approx(dense_norm / np.sqrt(400), rel=1e-6)
 
+    def test_matches_dense_oracle_on_block_model_noise(self):
+        # Bernoulli noise has a flat top spectrum, on which plain power
+        # iteration stalls short of the norm (here by 1.2e-4 after 500 steps)
+        inst = gen_mmsb(n=1000, d=100, k=4, p=0.1, q=0.02, seed=5)
+        dense_norm = np.linalg.norm(inst.A.toarray() - inst.P, ord=2)
+        assert inst.sigma == pytest.approx(dense_norm / np.sqrt(1000), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(1, 40), (40, 1)])
+    def test_single_row_or_column(self, shape):
+        rng = np.random.default_rng(4)
+        d, n = shape
+        A = dense_to_csc(rng.standard_normal(shape))
+        M, W = rng.standard_normal((d, 2)), rng.random((2, n))
+        dense_norm = np.linalg.norm(A.toarray() - M @ W, ord=2)
+        assert compute_sigma(A, M, W) == pytest.approx(dense_norm / np.sqrt(n), rel=1e-12)
+
 
 class TestCheckAssumptions:
     def test_exact_vertex_copies_pass_everything(self):

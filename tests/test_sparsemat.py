@@ -17,7 +17,7 @@ from simplexi.sparsemat import (
     right_apply,
     save_dense_block,
     save_matrix_snapshot,
-    spectral_norm_est,
+    spectral_norm,
 )
 
 from conftest import dense_to_csc, random_sparse
@@ -314,21 +314,26 @@ class TestColumnSubsetMean:
             column_subset_mean(A, np.array([4]))
 
 
+def _norm(A, seed=0):
+    return spectral_norm(
+        A.shape, lambda x: right_apply(A, x), lambda y: left_apply(y, A), seed=seed
+    )
+
+
 class TestSpectralNormEst:
+    """``spectral_norm`` applied to a matrix through its products."""
+
     def test_diagonal(self):
         A = build_csc([(0, 0, 3.0), (1, 1, 1.0)], 2, 2)
-        est = spectral_norm_est(A, tol=1e-8)
-        assert abs(est.value - 3.0) <= 3.0 * 3e-8
+        assert _norm(A) == pytest.approx(3.0, rel=1e-14)
 
     def test_zero_matrix(self):
-        est = spectral_norm_est(build_csc([], 5, 5))
-        assert est.value == 0.0
-        assert est.converged
+        for shape in [(5, 5), (3, 8), (8, 3), (0, 4), (4, 0), (1, 1)]:
+            assert _norm(build_csc([], *shape)) == 0.0
 
     def test_permutation(self):
         A = build_csc([(0, 1, 1.0), (1, 0, 1.0)], 2, 2)
-        est = spectral_norm_est(A, tol=1e-8)
-        assert abs(est.value - 1.0) <= 1e-6
+        assert _norm(A) == pytest.approx(1.0, rel=1e-14)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_known_singular_values(self, seed):
@@ -338,16 +343,11 @@ class TestSpectralNormEst:
         U = np.linalg.qr(rng.standard_normal((d, 8)))[0]
         V = np.linalg.qr(rng.standard_normal((n, 8)))[0]
         A = dense_to_csc((U * s) @ V.T)
-        tol = 1e-9
-        est = spectral_norm_est(A, tol=tol, max_iter=2000, seed=seed)
-        assert est.converged
-        assert abs(est.value - s[0]) <= tol * s[0] * 100 + 1e-12
+        assert _norm(A, seed=seed) == pytest.approx(s[0], rel=1e-12)
 
     def test_deterministic_given_seed(self):
         A = random_sparse(25, 25, 0.2, seed=9)
-        a = spectral_norm_est(A, seed=5)
-        b = spectral_norm_est(A, seed=5)
-        assert a == b
+        assert _norm(A, seed=5) == _norm(A, seed=5)
 
 
 class TestParseEdgeList:
