@@ -5,10 +5,17 @@ Subcommands: ``gen`` (write a model instance or raw matrix), ``learn``
 sketch factorization against the power-iteration baseline over a
 parameter grid), ``eval`` (score estimates against ground truth).
 
+Each subcommand declares every option once, in its table of ``Option``
+entries: name (flag and config key), parser with its bounds, whether it
+is required, default.  A value resolves flag > config file > default,
+the seed flag > SIMPLEXI_SEED > config file > default; an option that
+is not given and has no default is left out, so the library's default
+applies.  A malformed option, config file or command line exits 2 with
+one line.
+
 Every run writes ``manifest.txt`` echoing the fully resolved
 configuration; CSV outputs are deterministic given the seed, with wall
-clock measurements confined to the timing columns/files.  The seed
-resolves flag > SIMPLEXI_SEED > config file > default.
+clock measurements confined to the timing columns/files.
 """
 
 from __future__ import annotations
@@ -19,7 +26,9 @@ import csv
 import os
 import sys
 import time
+from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import Callable
 
 import numpy as np
 
@@ -33,7 +42,14 @@ from .learner import (
     save_vertex_estimates,
     select_vertices,
 )
-from .metrics import BenchRecord, ls_loss, match_vertices, reduction_check, subset_smoothing_check
+from .metrics import (
+    SMOOTHING_TRIALS,
+    BenchRecord,
+    ls_loss,
+    match_vertices,
+    reduction_check,
+    subset_smoothing_check,
+)
 from .models import (
     check_assumptions,
     compute_alpha,
@@ -55,6 +71,7 @@ from .sketch import (
 from .sparsemat import (
     load_matrix_snapshot,
     parse_edge_list,
+    read_key_values,
     save_matrix_snapshot,
 )
 
@@ -63,81 +80,108 @@ NUMERICAL_ERROR = 1
 
 
 class UsageError(Exception):
-    """A malformed option, config file or environment setting; ``main``
-    prints it as one line and exits with ``USAGE_ERROR``."""
-
-
-def _parse_number(text: str) -> float:
-    """Float parser that also accepts fractions like 1/500."""
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return float(num) / float(den)
-    return float(text)
-
-
-def _parse_int(key: str, value, low: int | None = None) -> int:
-    """An integer option's value; raises ``UsageError`` naming ``key`` if it
-    is not an integer or is below ``low``."""
-    try:
-        val = int(value)
-    except ValueError:
-        raise UsageError(f"{key} must be an integer, got {value!r}") from None
-    if low is not None and val < low:
-        raise UsageError(f"{key}={val} must be at least {low}")
-    return val
+    """A malformed option, config file, environment setting or command
+    line; ``main`` prints it as one line and exits with ``USAGE_ERROR``."""
 
 
 def load_config_file(path: str) -> dict[str, str]:
-    """key=value lines; '#' starts a comment; blank lines ignored.
-
-    Raises ``UsageError`` if the file cannot be read or a line is not
-    key=value.
-    """
-    out: dict[str, str] = {}
+    """The ``read_key_values`` entries of a config file; raises
+    ``UsageError`` if it cannot be read or a line is not key=value."""
     try:
         with open(path) as f:
-            lines = f.readlines()
+            return read_key_values(f)
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc.strerror}") from None
     except UnicodeDecodeError:
         raise UsageError(f"cannot read config file {path}: not text") from None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
-        key, _, val = line.partition("=")
-        out[key.strip()] = val.strip()
-    return out
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
-def _resolve(args: argparse.Namespace, key: str, config: dict[str, str], default=None):
-    """flag > config file > default."""
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
+# ---------------------------------------------------------------------------
+# option parsers: (key, text) -> value, raising UsageError naming the key
+# ---------------------------------------------------------------------------
+
+
+def _text(key: str, text: str) -> str:
+    if not text:
+        raise UsageError(f"{key} must not be empty")
+    return text
+
+
+def _number(key: str, text: str) -> float:
+    """A float; fractions like 1/500 are accepted."""
+    num, slash, den = text.partition("/")
+    try:
+        return float(num) / float(den) if slash else float(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"{key} must be a number, got {text!r}") from None
+
+
+def _integer(low: int | None = None, high: int | None = None) -> Callable[[str, str], int]:
+    """Parser of an integer in [low, high]."""
+
+    def parse(key: str, text: str) -> int:
+        try:
+            val = int(text)
+        except ValueError:
+            raise UsageError(f"{key} must be an integer, got {text!r}") from None
+        if low is not None and val < low:
+            raise UsageError(f"{key}={val} must be at least {low}")
+        if high is not None and val > high:
+            raise UsageError(f"{key}={val} must be at most {high}")
         return val
-    if key in config:
-        return config[key]
-    return default
+
+    return parse
 
 
-def _resolve_int(args: argparse.Namespace, key: str, config: dict[str, str],
-                 default: int | None = None, low: int | None = None) -> int | None:
-    """``_resolve`` for an integer option, parsed by ``_parse_int``."""
-    val = _resolve(args, key, config, default)
-    return None if val is None else _parse_int(key, val, low)
+def _list_of(item: Callable[[str, str], object]) -> Callable[[str, str], list]:
+    """Parser of a comma-separated list; empty items are skipped."""
+    return lambda key, text: [item(key, x) for x in text.split(",") if x]
 
 
-def _resolve_seed(args, config) -> int:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    env = os.environ.get("SIMPLEXI_SEED")
-    if env is not None:
-        return _parse_int("SIMPLEXI_SEED", env)
-    if "seed" in config:
-        return _parse_int("seed", config["seed"])
-    return 0
+@dataclass(frozen=True)
+class Option:
+    """One option of a subcommand: ``--name`` on the command line, ``name``
+    in the config file.  ``required`` is True, or for ``gen`` the models
+    that need the option (``model`` comes first in its table)."""
+
+    name: str
+    parse: Callable[[str, str], object] = _text
+    required: bool | tuple[str, ...] = False
+    default: object = None
+
+
+_OUT = Option("out", required=True)
+_SEED = Option("seed", _integer(0), default=0)
+
+
+def _resolve(args: argparse.Namespace, table: tuple[Option, ...]) -> dict[str, object]:
+    """The parsed value of every option in ``table`` that is given or has a
+    default, keyed by name.  Raises ``UsageError`` naming the key of a
+    value its parser rejects, or of a required option that is not given."""
+    config = load_config_file(args.config) if args.config else {}
+    opts: dict[str, object] = {}
+    for opt in table:
+        key, text = opt.name, vars(args)[opt.name]
+        if text is None and key == "seed" and "SIMPLEXI_SEED" in os.environ:
+            key, text = "SIMPLEXI_SEED", os.environ["SIMPLEXI_SEED"]
+        if text is None:
+            text = config.get(opt.name)
+        if text is not None:
+            opts[opt.name] = opt.parse(key, text)
+        elif opt.default is not None:
+            opts[opt.name] = opt.default
+        elif opt.required is True:
+            raise UsageError(f"missing required parameter {opt.name!r}")
+        elif opts.get("model") in (opt.required or ()):
+            raise UsageError(f"missing required parameter {opt.name!r} for model {opts['model']}")
+    return opts
+
+
+def _given(opts: dict[str, object], *names: str) -> dict[str, object]:
+    """The options among ``names`` that ``opts`` holds, as keyword arguments."""
+    return {name.replace("-", "_"): opts[name] for name in names if name in opts}
 
 
 def _write_manifest(out_dir: str, resolved: dict) -> None:
@@ -166,79 +210,53 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
-    config = load_config_file(args.config) if args.config else {}
-    model = _resolve(args, "model", config)
-    out = _resolve(args, "out", config)
-    if not model or not out:
-        print("gen: --model and --out are required", file=sys.stderr)
-        return USAGE_ERROR
-    seed = _resolve_seed(args, config)
+_MODELS = ("lda", "mmsb", "clustering", "raw")
 
-    def need(key, cast):
-        val = _resolve(args, key, config)
-        if val is None:
-            raise KeyError(key)
-        return cast(val)
+GEN_OPTIONS = (
+    Option("model", required=True), _OUT, _SEED,
+    Option("d", _integer(), required=_MODELS), Option("n", _integer(), required=_MODELS),
+    Option("k", _integer(1), required=("lda", "mmsb", "clustering")),
+    Option("m", _integer(), required=("lda",)),
+    Option("p", _number, required=("mmsb", "raw")), Option("q", _number, required=("mmsb",)),
+    Option("sigma-target", _number, required=("clustering",)),
+    Option("delta", _number, required=("clustering",)),
+    Option("adversary-fraction", _number, default=0.0),
+    Option("concentration", _number), Option("topic-concentration", _number),
+    Option("separation-factor", _number), Option("noise-rank", _integer(0)),
+    Option("pure", _integer(0, 1)),
+)
 
-    def opt(key, cast, default):
-        val = _resolve(args, key, config)
-        return default if val is None else cast(val)
 
+def cmd_gen(o: dict) -> int:
+    model, out, seed = o["model"], o["out"], o["seed"]
     try:
         if model == "raw":
-            d = need("d", int)
-            n = need("n", int)
-            p = need("p", _parse_number)
-            A = gen_bernoulli(d, n, p, seed)
+            A = gen_bernoulli(o["d"], o["n"], o["p"], seed)
             os.makedirs(out, exist_ok=True)
             with open(os.path.join(out, "matrix.txt"), "w") as f:
                 save_matrix_snapshot(A, f)
-            resolved = {"model": model, "d": d, "n": n, "p": p, "seed": seed, "nnz": A.nnz}
-        elif model == "lda":
-            inst = gen_lda(
-                need("d", int), need("n", int), need("k", int), need("m", int),
-                concentration=opt("concentration", _parse_number, None),
-                seed=seed,
-                topic_concentration=opt("topic-concentration", _parse_number, 0.05),
-                delta=opt("delta", _parse_number, None),
-            )
-            save_instance(inst, out)
-            resolved = {"model": model, "seed": seed, **inst.params,
-                        "sigma": inst.sigma, "delta": inst.delta}
-        elif model == "mmsb":
-            inst = gen_mmsb(
-                need("n", int), need("d", int), need("k", int),
-                need("p", _parse_number), need("q", _parse_number),
-                seed=seed,
-                pure=bool(opt("pure", int, 0)),
-                delta=opt("delta", _parse_number, None),
-            )
-            save_instance(inst, out)
-            resolved = {"model": model, "seed": seed, **inst.params,
-                        "sigma": inst.sigma, "delta": inst.delta}
-        elif model == "clustering":
-            inst = gen_clusters_adversarial(
-                need("d", int), need("n", int), need("k", int),
-                need("sigma-target", _parse_number), need("delta", _parse_number),
-                opt("adversary-fraction", _parse_number, 0.0),
-                seed=seed,
-                separation_factor=opt("separation-factor", _parse_number, 10.0),
-                noise_rank=opt("noise-rank", int, 1),
-            )
-            save_instance(inst, out)
-            resolved = {"model": model, "seed": seed, **inst.params,
-                        "sigma": inst.sigma, "delta": inst.delta}
+            resolved = {"model": model, "d": o["d"], "n": o["n"], "p": o["p"], "seed": seed,
+                        "nnz": A.nnz}
         else:
-            print(f"gen: unknown model {model!r}", file=sys.stderr)
-            return USAGE_ERROR
-    except KeyError as exc:
-        print(f"gen: missing required parameter {exc.args[0]!r} for model {model}",
-              file=sys.stderr)
-        return USAGE_ERROR
+            if model == "lda":
+                inst = gen_lda(o["d"], o["n"], o["k"], o["m"], seed=seed,
+                               **_given(o, "concentration", "topic-concentration", "delta"))
+            elif model == "mmsb":
+                inst = gen_mmsb(o["n"], o["d"], o["k"], o["p"], o["q"], seed=seed,
+                                **_given(o, "pure", "delta"))
+            elif model == "clustering":
+                inst = gen_clusters_adversarial(
+                    o["d"], o["n"], o["k"], o["sigma-target"], o["delta"],
+                    o["adversary-fraction"], seed=seed,
+                    **_given(o, "separation-factor", "noise-rank"),
+                )
+            else:
+                raise UsageError(f"unknown model {model!r}")
+            save_instance(inst, out)
+            resolved = {"model": model, "seed": seed, **inst.params,
+                        "sigma": inst.sigma, "delta": inst.delta}
     except ValueError as exc:
-        print(f"gen: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(str(exc)) from None
     _write_manifest(out, resolved)
     return 0
 
@@ -264,31 +282,21 @@ def _load_input(path: str):
         return load_matrix_snapshot(f), None
 
 
-def cmd_learn(args: argparse.Namespace) -> int:
-    config = load_config_file(args.config) if args.config else {}
-    inp = _resolve(args, "input", config)
-    out = _resolve(args, "out", config)
-    k = _resolve(args, "k", config)
-    delta = _resolve(args, "delta", config)
-    if not inp or not out or k is None or delta is None:
-        print("learn: --input, --out, --k and --delta are required", file=sys.stderr)
-        return USAGE_ERROR
-    seed = _resolve_seed(args, config)
+LEARN_OPTIONS = (
+    Option("input", required=True), _OUT, _SEED,
+    Option("k", _integer(), required=True), Option("delta", _number, required=True),
+    Option("selection-mode"), Option("baseline"),
+)
+
+
+def cmd_learn(o: dict) -> int:
+    inp, out = o["input"], o["out"]
     try:
+        cfg = LearnerConfig(k=o["k"], delta=o["delta"], seed=o["seed"],
+                            **_given(o, "selection-mode", "baseline"))
         A, truth = _load_input(inp)
-        cfg = LearnerConfig(
-            k=_parse_int("k", k),
-            delta=_parse_number(str(delta)),
-            sketch_cols=(_parse_int("sketch-cols", v)
-                         if (v := _resolve(args, "sketch-cols", config)) else None),
-            seed=seed,
-            selection_mode=_resolve(args, "selection-mode", config, "two_sided"),
-            baseline=_resolve(args, "baseline", config, "sketch"),
-            power_multiplier=_resolve_int(args, "power-multiplier", config, 3),
-        )
-    except (ValueError, FileNotFoundError) as exc:
-        print(f"learn: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    except (ValueError, OSError) as exc:
+        raise UsageError(str(exc)) from None
 
     try:
         t0 = time.perf_counter()
@@ -298,9 +306,8 @@ def cmd_learn(args: argparse.Namespace) -> int:
         # LinAlgError subclasses ValueError, so it is caught first
         print(f"learn: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
-    except ValueError as exc:  # k above min(d, n), or --sketch-cols below k
-        print(f"learn: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    except ValueError as exc:  # k above min(d, n)
+        raise UsageError(str(exc)) from None
     try:
         t0 = time.perf_counter()
         est = select_vertices(A, Y, Z, cfg)
@@ -318,9 +325,8 @@ def cmd_learn(args: argparse.Namespace) -> int:
         [["factorization", _fmt(t_factor)], ["selection", _fmt(t_select)]],
     )
     resolved = {
-        "input": inp, "k": cfg.k, "delta": cfg.delta, "seed": seed,
+        "input": inp, "k": cfg.k, "delta": cfg.delta, "seed": cfg.seed,
         "selection_mode": cfg.selection_mode, "baseline": cfg.baseline,
-        "sketch_cols": cfg.sketch_cols if cfg.sketch_cols is not None else cfg.k**2,
         # as learn_simplex reports it: from the factors or from selection
         "rank_deficient": factor_rank_deficient or est.rank_deficient,
     }
@@ -352,12 +358,12 @@ def cmd_learn(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _time_phases(A, k: int, power_multiplier: int, seed: int) -> tuple[float, float]:
+def _time_phases(A, k: int, seed: int) -> tuple[float, float]:
     """(sketch seconds, top-k seconds) for one repeat."""
     t0 = time.perf_counter()
-    mixed_lra(A, k, c=k * k, seed=seed)
+    mixed_lra(A, k, seed=seed)
     t_sketch = time.perf_counter() - t0
-    T = default_power_iters(A.rows, power_multiplier)
+    T = default_power_iters(A.rows)
     t0 = time.perf_counter()
     res = subspace_power(A, k, T, seed=seed)
     Wt = np.asarray(A._scipy.T @ res.basis)
@@ -366,56 +372,40 @@ def _time_phases(A, k: int, power_multiplier: int, seed: int) -> tuple[float, fl
     return t_sketch, t_topk
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    config = load_config_file(args.config) if args.config else {}
-    out = _resolve(args, "out", config)
-    k_list = _resolve(args, "k-list", config)
-    if not out or not k_list:
-        print("bench: --out and --k-list are required", file=sys.stderr)
-        return USAGE_ERROR
-    seed = _resolve_seed(args, config)
-    repeats = _resolve_int(args, "repeats", config, 5)
-    power_multiplier = _resolve_int(args, "power-multiplier", config, 3)
-    ks = [_parse_int("k-list", x) for x in str(k_list).split(",") if x]
-    edge_file = _resolve(args, "edge-file", config)
+BENCH_OPTIONS = (
+    _OUT, _SEED, Option("k-list", _list_of(_integer(1)), required=True),
+    Option("repeats", _integer(1), default=5),
+    Option("d", _integer()), Option("n", _integer()), Option("p-list", _list_of(_number)),
+    Option("edge-file"), Option("edge-mode"),
+    Option("loss-delta", _number), Option("loss-sample", _integer(1), default=200),
+)
+
+
+def cmd_bench(o: dict) -> int:
+    out, ks, seed, repeats = o["out"], o["k-list"], o["seed"], o["repeats"]
+    if not ks:
+        raise UsageError("empty grid")
+    edge_file = o.get("edge-file")
 
     cells: list[tuple[str, dict, object]] = []  # (label, meta, matrix)
     try:
         if edge_file:
-            mode = _resolve(args, "edge-mode", config, "square")
+            mode = {"mode": o["edge-mode"]} if "edge-mode" in o else {}
             with open(edge_file) as f:
-                if mode == "bipartite":
-                    d = _resolve_int(args, "d", config)
-                    n = _resolve_int(args, "n", config)
-                    parsed = parse_edge_list(f, mode="bipartite", d=d, n=n, seed=seed)
-                else:
-                    parsed = parse_edge_list(f, mode="square")
+                parsed = parse_edge_list(f, seed=seed, **mode, **_given(o, "d", "n"))
             base = os.path.basename(edge_file)
             for k in ks:
                 cells.append((f"{base},k={k}", {"k": k, "source": base}, parsed.matrix))
         else:
-            p_list = _resolve(args, "p-list", config)
-            d = _resolve(args, "d", config)
-            n = _resolve(args, "n", config)
-            if not p_list or d is None or n is None:
-                print("bench: synthetic grid needs --d, --n and --p-list", file=sys.stderr)
-                return USAGE_ERROR
-            d, n = _parse_int("d", d), _parse_int("n", n)
-            ps = [_parse_number(x) for x in str(p_list).split(",") if x]
-            if not ps or not ks:
-                print("bench: empty grid", file=sys.stderr)
-                return USAGE_ERROR
+            if not o.get("p-list") or "d" not in o or "n" not in o:
+                raise UsageError("synthetic grid needs --d, --n and --p-list")
+            d, n, ps = o["d"], o["n"], o["p-list"]
             for p in ps:
                 A = gen_bernoulli(d, n, p, seed)
                 for k in ks:
                     cells.append((f"p={p:g},k={k}", {"k": k, "p": p, "d": d, "n": n}, A))
-    except (ValueError, FileNotFoundError) as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-
-    loss_delta = _resolve(args, "loss-delta", config)
-    with_loss = loss_delta is not None
-    loss_sample = _resolve_int(args, "loss-sample", config, 200)
+    except (ValueError, OSError) as exc:
+        raise UsageError(str(exc)) from None
 
     os.makedirs(out, exist_ok=True)
     nan = float("nan")
@@ -425,16 +415,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
         t_sketch = t_topk = loss_sketch = loss_topk = nan
         error = ""
         try:
-            t_sketch, t_topk = _time_phases(A, k, power_multiplier, rep_seed)
-            if with_loss:
-                delta = _parse_number(str(loss_delta))
+            t_sketch, t_topk = _time_phases(A, k, rep_seed)
+            if "loss-delta" in o:
                 losses = {}
                 for baseline in ("sketch", "power_iteration"):
-                    cfg = LearnerConfig(k=k, delta=delta, seed=rep_seed,
-                                        baseline=baseline,
-                                        power_multiplier=power_multiplier)
+                    cfg = LearnerConfig(k=k, delta=o["loss-delta"], seed=rep_seed,
+                                        baseline=baseline)
                     est = learn_simplex(A, cfg)
-                    losses[baseline] = ls_loss(A, est, sample=min(loss_sample, A.cols),
+                    losses[baseline] = ls_loss(A, est, sample=min(o["loss-sample"], A.cols),
                                                seed=rep_seed)
                 loss_sketch = losses["sketch"]
                 loss_topk = losses["power_iteration"]
@@ -503,24 +491,24 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    config = load_config_file(args.config) if args.config else {}
-    inst_dir = _resolve(args, "instance", config)
-    est_path = _resolve(args, "estimates", config)
-    out = _resolve(args, "out", config)
-    sweep_dir = _resolve(args, "sweep-estimates", config)
-    if not inst_dir or not out or (not est_path and not sweep_dir):
-        print("eval: --instance, --out and --estimates (or --sweep-estimates) are required",
-              file=sys.stderr)
-        return USAGE_ERROR
-    seed = _resolve_seed(args, config)
-    sample = _resolve_int(args, "sample", config, 200, low=1)
-    trials = _resolve_int(args, "smoothing-trials", config, 1000)
+EVAL_OPTIONS = (
+    Option("instance", required=True), _OUT, _SEED,
+    Option("estimates"), Option("sweep-estimates"),
+    Option("sample", _integer(1), default=200),
+    Option("smoothing-trials", _integer(0), default=SMOOTHING_TRIALS),
+)
+
+
+def cmd_eval(o: dict) -> int:
+    inst_dir, out, seed = o["instance"], o["out"], o["seed"]
+    sample, trials = o["sample"], o["smoothing-trials"]
+    est_path, sweep_dir = o.get("estimates"), o.get("sweep-estimates")
+    if est_path is None and sweep_dir is None:
+        raise UsageError("missing required parameter 'estimates' (or 'sweep-estimates')")
     try:
         inst = load_instance(inst_dir)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"eval: cannot load instance: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot load instance: {exc}") from None
 
     os.makedirs(out, exist_ok=True)
     if sweep_dir:
@@ -529,19 +517,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     try:
         with open(est_path) as f:
             est = load_vertex_estimates(f)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"eval: cannot load estimates: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot load estimates: {exc}") from None
     if est.vertices.shape != inst.M.shape:
         d, k = est.vertices.shape
-        print(f"eval: estimates hold k={k} vertices of length d={d}; the instance has "
-              f"k={inst.M.shape[1]}, d={inst.M.shape[0]}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(f"estimates hold k={k} vertices of length d={d}; the instance has "
+                         f"k={inst.M.shape[1]}, d={inst.M.shape[0]}")
     bad = _index_past(est, inst.A.cols)
     if bad is not None:
-        print(f"eval: estimates select column {bad}; the instance has n={inst.A.cols}",
-              file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(f"estimates select column {bad}; the instance has n={inst.A.cols}")
 
     try:
         alpha = compute_alpha(inst.M)
@@ -590,32 +574,31 @@ def _index_past(est, n: int) -> int | None:
 
 def _eval_sweep(inst, sweep_dir: str, out: str, sample: int, seed: int) -> int:
     """Loss curves over estimate files named like est_k<k>_dn<dn>.txt."""
+    try:
+        names = sorted(os.listdir(sweep_dir))
+    except OSError as exc:
+        raise UsageError(f"cannot read {sweep_dir}: {exc.strerror}") from None
     rows = []
-    for name in sorted(os.listdir(sweep_dir)):
+    for name in names:
         if not name.endswith(".txt"):
             continue
         path = os.path.join(sweep_dir, name)
         try:
             with open(path) as f:
                 est = load_vertex_estimates(f)
-        except ValueError as exc:
-            print(f"eval: cannot load estimates {path}: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot load estimates {path}: {exc}") from None
         bad = _index_past(est, inst.A.cols)
         if bad is not None:
-            print(f"eval: {path}: selects column {bad}; the instance has n={inst.A.cols}",
-                  file=sys.stderr)
-            return USAGE_ERROR
+            raise UsageError(f"{path}: selects column {bad}; the instance has n={inst.A.cols}")
         dn = est.index_sets[0].size if est.index_sets else 0
         try:
             loss = ls_loss(inst.A, est, sample=min(sample, inst.A.cols), seed=seed)
         except ValueError as exc:
-            print(f"eval: {path}: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+            raise UsageError(f"{path}: {exc}") from None
         rows.append((est.k, dn, loss, name))
     if not rows:
-        print(f"eval: no estimate files in {sweep_dir}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(f"no estimate files in {sweep_dir}")
     _write_csv(
         os.path.join(out, "sweep.csv"),
         ["k", "dn", "ls_loss", "file"],
@@ -644,70 +627,45 @@ def _eval_sweep(inst, sweep_dir: str, out: str, sample: int, seed: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises argparse's own rejections (an unknown flag, a missing value,
+    no subcommand) as ``UsageError`` rather than printing usage."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
+# name: (help, option table, handler)
+_COMMANDS = {
+    "gen": ("generate an instance or raw matrix", GEN_OPTIONS, cmd_gen),
+    "learn": ("recover vertices from a matrix or instance", LEARN_OPTIONS, cmd_learn),
+    "bench": ("time sketch vs top-k phases over a grid", BENCH_OPTIONS, cmd_bench),
+    "eval": ("score estimates against an instance", EVAL_OPTIONS, cmd_eval),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="simplexi")
+    """One ``--name`` flag per option, taken as a plain string; the option's
+    own parser reads it in ``_resolve``."""
+    parser = _ArgumentParser(prog="simplexi")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("gen", help="generate an instance or raw matrix")
-    _add_common(g)
-    g.add_argument("--model", choices=["lda", "mmsb", "clustering", "raw"])
-    for key in ("d", "n", "k", "m", "noise-rank", "pure"):
-        g.add_argument(f"--{key}", type=int, dest=key.replace("-", "_"))
-    for key in ("p", "q", "concentration", "topic-concentration", "delta",
-                "sigma-target", "adversary-fraction", "separation-factor"):
-        g.add_argument(f"--{key}", dest=key.replace("-", "_"))
-    g.set_defaults(func=cmd_gen)
-
-    l = sub.add_parser("learn", help="recover vertices from a matrix or instance")
-    _add_common(l)
-    l.add_argument("--input")
-    l.add_argument("--k", type=int)
-    l.add_argument("--delta")
-    l.add_argument("--sketch-cols", dest="sketch_cols", type=int)
-    l.add_argument("--selection-mode", dest="selection_mode",
-                   choices=["abs", "two_sided"])
-    l.add_argument("--baseline", choices=["sketch", "power_iteration"])
-    l.add_argument("--power-multiplier", dest="power_multiplier", type=int)
-    l.set_defaults(func=cmd_learn)
-
-    b = sub.add_parser("bench", help="time sketch vs top-k phases over a grid")
-    _add_common(b)
-    b.add_argument("--d", type=int)
-    b.add_argument("--n", type=int)
-    b.add_argument("--k-list", dest="k_list")
-    b.add_argument("--p-list", dest="p_list")
-    b.add_argument("--repeats", type=int)
-    b.add_argument("--power-multiplier", dest="power_multiplier", type=int)
-    b.add_argument("--edge-file", dest="edge_file")
-    b.add_argument("--edge-mode", dest="edge_mode", choices=["square", "bipartite"])
-    b.add_argument("--loss-delta", dest="loss_delta")
-    b.add_argument("--loss-sample", dest="loss_sample", type=int)
-    b.set_defaults(func=cmd_bench)
-
-    e = sub.add_parser("eval", help="score estimates against an instance")
-    _add_common(e)
-    e.add_argument("--instance")
-    e.add_argument("--estimates")
-    e.add_argument("--sweep-estimates", dest="sweep_estimates")
-    e.add_argument("--sample", type=int)
-    e.add_argument("--smoothing-trials", dest="smoothing_trials", type=int)
-    e.set_defaults(func=cmd_eval)
+    for command, (help_text, table, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="key=value config file")
+        for opt in table:
+            p.add_argument(f"--{opt.name}", dest=opt.name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    command = "simplexi"
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        command = args.command
+        _, table, handler = _COMMANDS[command]
+        return handler(_resolve(args, table))
     except UsageError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
+        print(f"{command}: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except LearnerError as exc:
         print(f"simplexi: {exc}", file=sys.stderr)

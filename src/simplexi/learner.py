@@ -57,17 +57,16 @@ class LearnerConfig:
     floor(delta * n) columns (at least one).  ``selection_mode`` picks
     between the literal largest-|coordinate| rule ("abs") and the
     sign-consistent two-sided rule ("two_sided", default).  ``baseline``
-    chooses the factorization: the CountSketch pipeline ("sketch") or
-    subspace power iteration plus exact projection ("power_iteration").
+    chooses the factorization: the CountSketch pipeline ("sketch", k^2
+    buckets) or ``default_power_iters(d)`` steps of subspace power
+    iteration plus exact projection ("power_iteration").
     """
 
     k: int
     delta: float
-    sketch_cols: int | None = None
     seed: int = 0
     selection_mode: str = "two_sided"
     baseline: str = "sketch"
-    power_multiplier: int = 3
 
     def __post_init__(self) -> None:
         if self.k < 2:
@@ -189,12 +188,11 @@ def compute_factors(A: SparseColMatrix, cfg: LearnerConfig):
     d, n = A.shape
     seed_fac, _ = _seeds(cfg)
     if cfg.baseline == "power_iteration":
-        T = default_power_iters(d, cfg.power_multiplier)
-        res = subspace_power(A, cfg.k, T, seed=seed_fac)
+        res = subspace_power(A, cfg.k, default_power_iters(d), seed=seed_fac)
         Y = res.basis
         Z = np.asarray(A._scipy.T @ Y)
         return Y, Z, res.redraws > 0
-    fac = mixed_lra(A, cfg.k, c=cfg.sketch_cols, seed=seed_fac)
+    fac = mixed_lra(A, cfg.k, seed=seed_fac)
     return fac.Y, fac.Z, fac.rank_deficient
 
 
@@ -284,13 +282,13 @@ def save_vertex_estimates(est: VertexEstimates, f: TextIO) -> None:
 def load_vertex_estimates(f: TextIO) -> VertexEstimates:
     """Read the block ``save_vertex_estimates`` writes.
 
-    Raises ``ValueError`` naming the line on a wrong header or length, a
-    column index that is negative or past int64, or a non-finite vertex
-    entry.
+    Raises ``ValueError`` naming the line on a header other than three
+    nonnegative integers, a wrong length, a column index that is
+    negative or past int64, or a non-finite vertex entry.
     """
     header = f.readline().split()
-    if len(header) != 3:
-        raise ValueError("estimates header must be 'k d s'")
+    if len(header) != 3 or not all(x.isdecimal() for x in header):
+        raise ValueError("line 1: header must be 'k d s'")
     k, d, s = (int(x) for x in header)
     sets = []
     for line in range(2, k + 2):

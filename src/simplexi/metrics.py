@@ -28,6 +28,7 @@ __all__ = [
 VertexSource = Union[VertexEstimates, np.ndarray, Sequence[np.ndarray]]
 
 DENSE_RESIDUAL_LIMIT = 50_000_000  # d * n up to which reduction_check densifies A
+SMOOTHING_TRIALS = 1000  # random subsets subset_smoothing_check draws by default
 
 
 def _vertex_matrix(vertices: VertexSource) -> np.ndarray:
@@ -236,7 +237,7 @@ def subset_smoothing_check(
     A: SparseColMatrix,
     P: np.ndarray,
     sigma: float,
-    trials: int = 1000,
+    trials: int = SMOOTHING_TRIALS,
     seed: int = 0,
 ) -> float:
     """Worst noise-shrinkage ratio over random column subsets.

@@ -25,6 +25,7 @@ from .sparsemat import (
     left_apply,
     load_dense_block,
     load_matrix_snapshot,
+    read_key_values,
     right_apply,
     save_dense_block,
     save_matrix_snapshot,
@@ -519,6 +520,13 @@ def save_instance(inst: SimplexInstance, directory: str) -> None:
             f.write(f"param.{key}={val}\n")
 
 
+def _meta_value(key: str, val: str):
+    """A ``meta.txt`` value as ``SimplexInstance`` holds it."""
+    if key in ("sigma", "delta") or key.startswith("param."):
+        return float(val)
+    return int(val) if key == "seed" else val
+
+
 def load_instance_core(directory: str) -> tuple[SparseColMatrix, np.ndarray, dict]:
     """A, M and the ``meta.txt`` fields of an instance directory, without
     reading ``W.txt``: all that ``learn`` needs.
@@ -535,26 +543,16 @@ def load_instance_core(directory: str) -> tuple[SparseColMatrix, np.ndarray, dic
         M = load_dense_block(f)[1]
     if M.shape[0] != A.rows:
         raise ValueError(f"{m_path} has {M.shape[0]} rows, but A is {A.rows}x{A.cols}")
-    meta: dict[str, str] = {}
     meta_path = os.path.join(directory, "meta.txt")
     with open(meta_path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            meta[key] = val
-    missing = [key for key in ("sigma", "delta", "model_tag", "seed") if key not in meta]
+        meta = read_key_values(f, _meta_value)
+    required = ("sigma", "delta", "model_tag", "seed")
+    missing = [key for key in required if key not in meta]
     if missing:
         raise ValueError(f"{meta_path} lacks {', '.join(missing)}")
-    params = {
-        key[len("param."):]: float(val)
-        for key, val in meta.items()
-        if key.startswith("param.")
-    }
-    fields = {
-        "sigma": float(meta["sigma"]), "delta": float(meta["delta"]),
-        "model_tag": meta["model_tag"], "seed": int(meta["seed"]), "params": params,
+    fields = {key: meta[key] for key in required}
+    fields["params"] = {
+        key[len("param."):]: val for key, val in meta.items() if key.startswith("param.")
     }
     return A, M, fields
 

@@ -200,36 +200,28 @@ def _projected_gram(
     return 0.5 * (G + G.T), Wt
 
 
-def mixed_lra(
-    A: SparseColMatrix,
-    k: int,
-    c: int | None = None,
-    seed: int = 0,
-) -> RankKFactors:
+def mixed_lra(A: SparseColMatrix, k: int, seed: int = 0) -> RankKFactors:
     """Rank-k factors whose product satisfies a mixed spectral-Frobenius bound.
 
-    Pipeline: sketch the columns into ``c`` buckets (default c = k^2)
-    with ``apply_countsketch``; if the bucket count exceeds the
+    Pipeline: sketch the columns into c = k^2 buckets with
+    ``apply_countsketch``; if the bucket count exceeds the
     working-rank cap max(2k, k + 10), compress that d x c block with a
     seeded Gaussian test matrix; orthonormalize to get the basis Q; take
     the top-k directions of the projection of A onto span(Q) via the
     small Gram matrix Q^T A A^T Q; return Y (those directions) and
     Z = A^T Y.
 
-    Cost: one O(nnz(A) + d * c) scatter for the sketch, which adds fixed
-    blocks of 2^18 entries of A into one d x c accumulator (d * k^2 at
-    the default width) and equals A S exactly; one nnz(A) * r pass for
-    A^T Q (r is the working rank), whose product with the top-k
-    eigenvectors is Z on that route.  On the d x d Gram route used for
-    hyper-sparse input, Z takes one more sparse pass.
+    Cost: one O(nnz(A) + d k^2) scatter for the sketch, which adds fixed
+    blocks of 2^18 entries of A into one d x c accumulator and equals
+    A S exactly; one nnz(A) * r pass for A^T Q (r is the working rank),
+    whose product with the top-k eigenvectors is Z on that route.  On
+    the d x d Gram route used for hyper-sparse input, Z takes one more
+    sparse pass.
     """
     d, n = A.shape
     if not 1 <= k <= min(d, n):
         raise ValueError(f"k={k} must satisfy 1 <= k <= min(d, n) = {min(d, n)}")
-    if c is None:
-        c = k * k
-    if c < k:
-        raise ValueError(f"sketch width c={c} must be at least k={k}")
+    c = k * k
     s1, s2 = np.random.SeedSequence(seed).generate_state(2)
     C = apply_countsketch(A, make_countsketch(n, c, int(s1)))
 
@@ -315,9 +307,10 @@ class PowerIterationResult:
     iterates: list[np.ndarray] | None = None
 
 
-def default_power_iters(d: int, multiplier: int = 3) -> int:
-    """Iteration budget ceil(ln d) * multiplier used by the benchmarks."""
-    return max(1, int(math.ceil(math.log(max(d, 2)))) * multiplier)
+def default_power_iters(d: int) -> int:
+    """Iteration budget 3 ceil(ln d), at least 3, of the power-iteration
+    baseline: O(log d) steps, as the paper runs it."""
+    return 3 * math.ceil(math.log(max(d, 2)))
 
 
 def subspace_power(

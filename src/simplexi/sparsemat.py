@@ -3,8 +3,8 @@
 Compressed sparse-column storage for the (usually large) observation
 matrix, the matrix-vector / matrix-matrix kernels everything else is
 built on, the spectral norm of a matrix-free operator through scipy's
-seeded Lanczos solver, and parsers for whitespace edge lists and the
-text snapshot format.
+seeded Lanczos solver, and parsers for whitespace edge lists, the text
+snapshot format and key=value files.
 
 All matrices are immutable after construction and every operation here
 is a pure function, so they are safe to call from concurrent code.
@@ -34,6 +34,7 @@ __all__ = [
     "load_matrix_snapshot",
     "save_dense_block",
     "load_dense_block",
+    "read_key_values",
 ]
 
 # A triplet is (row, col, value); dense matrices are plain float64 ndarrays.
@@ -463,3 +464,24 @@ def load_dense_block(f: TextIO) -> tuple[str, np.ndarray]:
     row = np.dtype([("row", np.float64, (cols,))])
     body = _read_body(f, rows, row, f"{cols} numbers" if cols else "an empty line")
     return name, body["row"]
+
+
+def read_key_values(f: TextIO, convert: Callable[[str, str], object] | None = None) -> dict:
+    """``key=value`` lines, as config files and ``meta.txt`` hold them:
+    '#' starts a comment, blank lines are skipped, a later key overrides
+    an earlier one.  ``convert(key, value)``, if given, makes each value.
+    Raises ``ValueError`` naming the line of one without '=' or whose
+    conversion fails."""
+    out: dict[str, object] = {}
+    for lineno, raw in enumerate(f, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{_source(f)}:{lineno}: expected key=value, got {raw.rstrip()!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        try:
+            out[key] = val if convert is None else convert(key, val)
+        except ValueError as exc:
+            raise ValueError(f"{_source(f)}:{lineno}: {exc}") from None
+    return out

@@ -102,7 +102,7 @@ def test_criterion_01_mixed_lra_oracle_bound():
         k = int(rng.integers(2, 11))
         density = float(rng.uniform(0.005, 0.05))
         A = random_sparse(d, n, density, seed=9000 + t, values="ones")
-        fac = mixed_lra(A, k, c=k * k, seed=9000 + t)
+        fac = mixed_lra(A, k, seed=9000 + t)
         res = np.linalg.norm(A.toarray() - fac.Y @ fac.Z.T, ord=2)
         spec_tail, frob_tail = svd_tail_norms(A, k)
         ok += res**2 <= 2 * spec_tail**2 + frob_tail / k + 1e-12
@@ -137,7 +137,7 @@ def test_criterion_02_subspace_proximity():
         spec_tail, frob_tail = svd_tail_norms(A, k)
         assert s[k - 1] / spec_tail >= 10  # premise holds by construction
         assert frob_tail <= 2 * spec_tail**2
-        fac = mixed_lra(A, k, c=k * k, seed=9500 + t)
+        fac = mixed_lra(A, k, seed=9500 + t)
         worst = max(worst, sin_theta(Basis(fac.Y), Basis(U[:, :k])))
     good = worst <= 0.1
     report("2 subspace-proximity", good, f"worst sin_theta {worst:.4f} <= 0.1")
@@ -215,10 +215,10 @@ def test_criterion_06_runtime_ordering():
     t0 = time.time()
     A = gen_bernoulli(1000, 50000, 1.0 / 2000.0, seed=606)
     k = 50
-    T = default_power_iters(1000, 3)
+    T = default_power_iters(1000)
 
     def sketch_phase(seed):
-        mixed_lra(A, k, c=k * k, seed=seed)
+        mixed_lra(A, k, seed=seed)
 
     def topk_phase(seed):
         res = subspace_power(A, k, T, seed=seed)

@@ -137,12 +137,20 @@ class TestLearnAndEval:
         assert float(rows["smoothing_worst_ratio"]) <= 1.0 + 1e-9
         assert rows["reduction_passes"] == "true"
 
-    def test_eval_missing_estimates_is_usage_error(self, tmp_path, instance_dir):
-        code = main([
-            "eval", "--instance", str(instance_dir),
-            "--estimates", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "o"),
-        ])
+    def test_eval_missing_estimates_is_usage_error(self, tmp_path, instance_dir, capsys):
+        for path, message in [(tmp_path / "nope.txt", "No such file or directory"),
+                              (instance_dir, "Is a directory")]:
+            code = main(["eval", "--instance", str(instance_dir),
+                         "--estimates", str(path), "--out", str(tmp_path / "o")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and message in err
+        sweep = tmp_path / "no_sweep"
+        code = main(["eval", "--instance", str(instance_dir), "--sweep-estimates", str(sweep),
+                     "--out", str(tmp_path / "s")])
         assert code == 2
+        assert capsys.readouterr().err == (
+            f"eval: cannot read {sweep}: No such file or directory\n")
 
     def test_k_other_than_instance(self, tmp_path, instance_dir, capsys):
         # learn writes the estimates without match.csv; eval refuses them as usage
@@ -192,6 +200,8 @@ class TestLearnAndEval:
         (5, "0.5", "nan", "line 5: vertex entry nan is not finite"),
         (7, "0.5", "inf", "line 7: vertex entry inf is not finite"),
         (3, "2", "-5", "line 3: column index -5 is out of range"),
+        (1, "3 25 5", "3 25 x", "line 1: header must be 'k d s'"),
+        (1, "3 25 5", "3 -25 5", "line 1: header must be 'k d s'"),
     ])
     def test_eval_malformed_estimates_are_usage_errors(
         self, tmp_path, instance_dir, capsys, line, old, new, message
@@ -365,6 +375,26 @@ class TestLearnAndEval:
         err = capsys.readouterr().err
         assert err.startswith("learn: ") and "sigma" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("key, replacement, message", [
+        ("model_tag=", "model_tag clustering",
+         "expected key=value, got 'model_tag clustering'"),
+        ("sigma=", "sigma=abc", "could not convert string to float: 'abc'"),
+    ])
+    def test_learn_malformed_meta_line_is_usage_error(
+        self, tmp_path, instance_dir, capsys, key, replacement, message
+    ):
+        meta = instance_dir / "meta.txt"
+        lines = meta.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith(key))
+        lines[i] = replacement
+        meta.write_text("\n".join(lines) + "\n")
+        code = main([
+            "learn", "--input", str(instance_dir), "--k", "3", "--delta", "0.1",
+            "--out", str(tmp_path / "z"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"learn: {meta}:{i + 1}: {message}\n"
 
     def test_learn_malformed_matrix_is_usage_error(self, tmp_path, instance_dir, capsys):
         path = instance_dir / "A.txt"
@@ -542,9 +572,6 @@ class TestUsageErrors:
                      id="eval-smoothing-trials"),
         pytest.param("bench", "repeats=x\n", None, [],
                      "bench: repeats must be an integer, got 'x'", id="bench-repeats"),
-        pytest.param("bench", "power-multiplier=x\n", None, [],
-                     "bench: power-multiplier must be an integer, got 'x'",
-                     id="bench-power-multiplier"),
         pytest.param("bench", "loss-sample=x\n", None, [],
                      "bench: loss-sample must be an integer, got 'x'", id="bench-loss-sample"),
         pytest.param("bench", None, None, ["--k-list", "2,x"],
@@ -553,6 +580,41 @@ class TestUsageErrors:
                      "eval: sample=0 must be at least 1", id="eval-sample-0"),
         pytest.param("eval", None, None, ["--sample", "-3"],
                      "eval: sample=-3 must be at least 1", id="eval-sample-negative"),
+        pytest.param("eval", None, None, ["--seed", "-1"],
+                     "eval: seed=-1 must be at least 0", id="eval-seed-negative"),
+        pytest.param("learn", None, None, ["--seed", "-1"],
+                     "learn: seed=-1 must be at least 0", id="learn-seed-negative"),
+        pytest.param("bench", None, "-2", [],
+                     "bench: SIMPLEXI_SEED=-2 must be at least 0", id="env-seed-negative"),
+        pytest.param("gen", "seed=-3\n", None, [],
+                     "gen: seed=-3 must be at least 0", id="config-seed-negative"),
+        pytest.param("bench", None, None, ["--repeats", "0"],
+                     "bench: repeats=0 must be at least 1", id="bench-repeats-0"),
+        pytest.param("bench", None, None, ["--loss-delta", "0.1", "--loss-sample", "0"],
+                     "bench: loss-sample=0 must be at least 1", id="bench-loss-sample-0"),
+        pytest.param("eval", None, None, ["--smoothing-trials", "-5"],
+                     "eval: smoothing-trials=-5 must be at least 0",
+                     id="eval-smoothing-trials-negative"),
+        pytest.param("gen", None, None, ["--pure", "2"],
+                     "gen: pure=2 must be at most 1", id="gen-pure-2"),
+        pytest.param("gen", None, None, ["--k", "0"],
+                     "gen: k=0 must be at least 1", id="gen-k-0"),
+        pytest.param("bench", None, None, ["--k-list", "2,0"],
+                     "bench: k-list=0 must be at least 1", id="bench-k-list-0"),
+        pytest.param("bench", None, None, ["--edge-file", "absent.txt", "--k-list", ""],
+                     "bench: empty grid", id="bench-edge-file-empty-k-list"),
+        pytest.param("bench", None, None, ["--edge-file", "."],
+                     "bench: [Errno 21] Is a directory: '.'", id="bench-edge-file-directory"),
+        pytest.param("learn", None, None, ["--k", "x"],
+                     "learn: k must be an integer, got 'x'", id="learn-k-flag"),
+        pytest.param("gen", None, None, ["--seed", "x"],
+                     "gen: seed must be an integer, got 'x'", id="gen-seed-flag"),
+        pytest.param("learn", None, None, ["--selection-mode", "bogus"],
+                     "learn: unknown selection_mode 'bogus'", id="learn-selection-mode-flag"),
+        pytest.param("gen", None, None, ["--model", "foo"],
+                     "gen: unknown model 'foo'", id="gen-model-flag"),
+        pytest.param("learn", None, None, ["--bogus", "1"],
+                     "simplexi: unrecognized arguments: --bogus 1", id="unknown-flag"),
     ])
     def test_exit_2_with_one_line(self, tmp_path, capsys, monkeypatch,
                                   command, config, env, extra, message):

@@ -198,11 +198,11 @@ class TestMixedLra:
         assert res <= 1e-8 * top
 
     def test_tiny_diagonal_with_one_bucket(self):
-        # c=1 collapses both columns into a single sketch direction; the
+        # c = k^2 = 1 collapses both columns into one sketch direction; the
         # rank-1 residual must still respect the mixed bound with the
         # measured tail (exact best rank-1 residual is 1)
         A = dense_to_csc(np.diag([10.0, 1.0]))
-        fac = mixed_lra(A, 1, c=1, seed=0)
+        fac = mixed_lra(A, 1, seed=0)
         res = np.linalg.norm(A.toarray() - fac.Y @ fac.Z.T, ord=2)
         spec_tail, frob_tail = svd_tail_norms(A, 1)
         # epsilon = 1 desk bound
@@ -250,14 +250,12 @@ class TestMixedLra:
         assert routes == [streaming] and fac.k == k
         np.testing.assert_allclose(fac.Z, A.toarray().T @ fac.Y, atol=1e-10)
 
-    def test_rejects_bad_k_and_c(self):
+    def test_rejects_bad_k(self):
         A = random_sparse(10, 20, 0.2, seed=0)
         with pytest.raises(ValueError):
             mixed_lra(A, 0)
         with pytest.raises(ValueError):
             mixed_lra(A, 11)
-        with pytest.raises(ValueError):
-            mixed_lra(A, 4, c=3)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_oracle_bound_spot_check(self, seed):
@@ -267,7 +265,7 @@ class TestMixedLra:
         n = int(rng.integers(100, 1000))
         k = int(rng.integers(2, 11))
         A = random_sparse(d, n, 0.02, seed=seed, values="ones")
-        fac = mixed_lra(A, k, c=k * k, seed=seed)
+        fac = mixed_lra(A, k, seed=seed)
         spec_tail, frob_tail = svd_tail_norms(A, k)
         res = np.linalg.norm(A.toarray() - fac.Y @ fac.Z.T, ord=2)
         assert res**2 <= 2 * spec_tail**2 + frob_tail / k + 1e-9
@@ -287,7 +285,7 @@ class TestMixedLra:
         A = dense_to_csc(Ad)
         spec_tail, frob_tail = svd_tail_norms(A, k)
         assert frob_tail <= 2 * spec_tail**2  # flat-tail premise
-        fac = mixed_lra(A, k, c=k * k, seed=seed)
+        fac = mixed_lra(A, k, seed=seed)
         res = np.linalg.norm(Ad - fac.Y @ fac.Z.T, ord=2)
         assert res**2 <= 4 * spec_tail**2
 
