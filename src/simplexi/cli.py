@@ -385,6 +385,13 @@ def cmd_bench(o: dict) -> int:
     out, ks, seed, repeats = o["out"], o["k-list"], o["seed"], o["repeats"]
     if not ks:
         raise UsageError("empty grid")
+    if "loss-delta" in o:
+        # the timing legs take any k >= 1, the learner runs of the loss legs need k >= 2
+        for k in ks:
+            try:
+                LearnerConfig(k=k, delta=o["loss-delta"])
+            except ValueError as exc:
+                raise UsageError(f"loss runs at k={k}: {exc}") from None
     edge_file = o.get("edge-file")
 
     cells: list[tuple[str, dict, object]] = []  # (label, meta, matrix)
@@ -510,7 +517,6 @@ def cmd_eval(o: dict) -> int:
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot load instance: {exc}") from None
 
-    os.makedirs(out, exist_ok=True)
     if sweep_dir:
         return _eval_sweep(inst, sweep_dir, out, sample, seed)
 
@@ -558,6 +564,7 @@ def cmd_eval(o: dict) -> int:
         ["assumption_significant_ok", str(report.significant_ok).lower()],
         ["assumption_phi", _fmt(report.phi)],
     ]
+    os.makedirs(out, exist_ok=True)
     _write_csv(os.path.join(out, "eval.csv"), ["metric", "value"], rows)
     _write_manifest(out, {"instance": inst_dir, "estimates": est_path, "seed": seed,
                           "sample": sample, "smoothing_trials": trials})
@@ -599,6 +606,7 @@ def _eval_sweep(inst, sweep_dir: str, out: str, sample: int, seed: int) -> int:
         rows.append((est.k, dn, loss, name))
     if not rows:
         raise UsageError(f"no estimate files in {sweep_dir}")
+    os.makedirs(out, exist_ok=True)
     _write_csv(
         os.path.join(out, "sweep.csv"),
         ["k", "dn", "ls_loss", "file"],

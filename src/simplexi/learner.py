@@ -4,12 +4,18 @@ After the factorization builds the rank-k factors (Y, Z), each of the
 k selection rounds works entirely inside the factored form: a random
 direction is drawn in the column space of Y, projected away from the
 vertices found so far, pushed through Z^T to score every column that
-holds an entry (an empty column's row of Z is zero, so it scores 0),
+holds an entry (an empty column's row of Z is zero, so it scores +0.0),
 and the best-scoring block of columns is averaged into a new vertex.
-Only those selected columns of A are ever read again.  With m the
-number of columns that hold an entry, a round costs the O(d k + m k)
-scoring product, the O(n) fill of its score row, a few linear scans of
-the n scores (past n = 2^16 a strided sample fixes each side's cut, so
+Only those selected columns of A are ever read again.
+
+Both phases work on the m columns of A that hold an entry: the factors
+keep only those rows of Z, and a round picks its block among the m live
+scores, which is exact whenever each side it compares has s live scores
+of its own sign (otherwise, as when s > m, the block is picked on the
+whole n-long row).  A round costs the O(d k + m k) scoring product, the
+scatter of its m scores into its row of the k x n directions (zero-
+filled once per call, the one O(k n) cost left), a few linear scans of
+the m scores (past m = 2^16 a strided sample fixes each side's cut, so
 only the entries past it are partitioned), and a read of the s
 selected columns.
 
@@ -25,8 +31,8 @@ from typing import TextIO
 
 import numpy as np
 
-from .sketch import default_power_iters, mixed_lra, subspace_power
-from .sparsemat import SparseColMatrix, column_subset_mean
+from .sketch import RankKFactors, default_power_iters, mixed_lra, subspace_power
+from .sparsemat import SparseColMatrix, column_subset_mean, live_columns
 from .subspace import Basis, extend_basis, project_out
 
 __all__ = [
@@ -174,38 +180,82 @@ def select_indices(u: np.ndarray, s: int, mode: str = "two_sided") -> np.ndarray
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _select_live(row: np.ndarray, u: np.ndarray, live: np.ndarray, s: int,
+                 mode: str) -> np.ndarray:
+    """``select_indices(row, s, mode)`` for a row that holds the scores u at
+    the ascending columns ``live`` and +0.0 at every other column.
+
+    When each side compared holds at least s scores of its sign among u
+    (> 0 for the top, < 0 for the bottom, nonzero in "abs" mode), no zero
+    of an empty column can win a place, and ties among u break toward
+    the lower index as they do in the row: the choice is made on the m
+    scores alone.  Otherwise, as when s > m, it is made on the whole row.
+    """
+    nonzero = np.count_nonzero(u)
+    if mode == "abs":
+        enough = nonzero >= s
+    else:
+        positive = np.count_nonzero(u > 0.0)
+        enough = min(positive, nonzero - positive) >= s
+    if enough:
+        return live[select_indices(u, s, mode)]
+    return select_indices(row, s, mode)
+
+
 def _seeds(cfg: LearnerConfig) -> tuple[int, int]:
     s = np.random.SeedSequence(cfg.seed).generate_state(2)
     return int(s[0]), int(s[1])
 
 
-def compute_factors(A: SparseColMatrix, cfg: LearnerConfig):
-    """Factorization phase: returns (Y, Z, rank_deficient).
-
-    Raises ``ValueError`` unless 1 <= cfg.k <= min(d, n), from the shape
-    check in ``mixed_lra`` or ``subspace_power``.
-    """
+def _factors(A: SparseColMatrix, cfg: LearnerConfig) -> RankKFactors:
+    """Factorization phase, with Z kept to the rows of the columns of A
+    that hold an entry (see ``RankKFactors``)."""
     d, n = A.shape
     seed_fac, _ = _seeds(cfg)
     if cfg.baseline == "power_iteration":
         res = subspace_power(A, cfg.k, default_power_iters(d), seed=seed_fac)
         Y = res.basis
-        Z = np.asarray(A._scipy.T @ Y)
-        return Y, Z, res.redraws > 0
-    fac = mixed_lra(A, cfg.k, seed=seed_fac)
-    return fac.Y, fac.Z, fac.rank_deficient
+        live, A_live = live_columns(A)
+        Z = np.asarray(A_live._scipy.T @ Y)
+        return RankKFactors(Y, Z, live, Y.shape[1], res.redraws > 0)
+    return mixed_lra(A, cfg.k, seed=seed_fac)
+
+
+def compute_factors(A: SparseColMatrix, cfg: LearnerConfig):
+    """Factorization phase: returns (Y, Z, rank_deficient) with the n x k
+    factor Z = A^T Y, whose row is zero for every column of A without an
+    entry.
+
+    Raises ``ValueError`` unless 1 <= cfg.k <= min(d, n), from the shape
+    check in ``mixed_lra`` or ``subspace_power``.
+    """
+    fac = _factors(A, cfg)
+    Z = fac.Z
+    if fac.live.size < A.cols:
+        Z = np.zeros((A.cols, Z.shape[1]))
+        Z[fac.live] = fac.Z
+    return fac.Y, Z, fac.rank_deficient
 
 
 def select_vertices(
-    A: SparseColMatrix, Y: np.ndarray, Z: np.ndarray, cfg: LearnerConfig
+    A: SparseColMatrix,
+    Y: np.ndarray,
+    Z: np.ndarray,
+    cfg: LearnerConfig,
+    live: np.ndarray | None = None,
 ) -> VertexEstimates:
     """Selection phase: k rounds of project-score-average.
 
-    Z must be A^T Y as ``compute_factors`` returns it, so the row of
-    every column of A without an entry is zero: those rows are not
-    read, and those columns score +0.0.  Reads A only through its
-    column counts and ``column_subset_mean`` on the selected column
-    sets; everything else happens on the factors.
+    Z holds the rows of A^T Y: all n of them, as ``compute_factors``
+    returns it, or, given ``live`` (the ascending indices of the columns
+    of A that hold an entry, as ``RankKFactors`` carries them), only the
+    rows of those m columns.  Every other column scores +0.0 and its row
+    of Z is never read.  Each round's scores fill one row of the k x n
+    ``directions``; its block is picked among the m live scores when
+    that is exact (see ``_select_live``), else on the whole row.  Reads A
+    only through ``column_subset_mean`` on the selected column sets
+    (and its column pointers when ``live`` is not given); everything
+    else happens on the factors.
     """
     d, n = A.shape
     s = cfg.smoothing_size(n)
@@ -216,10 +266,11 @@ def select_vertices(
 
     vertices: list[np.ndarray] = []
     index_sets: list[np.ndarray] = []
-    live = np.flatnonzero(A.column_nnz())
-    # dense input scores Z itself, with no copy and the same BLAS call;
-    # take copies whole rows, which is faster here than Z[live]
-    Z_live = Z if live.size == n else Z.take(live, axis=0)
+    if live is None:
+        live, _ = live_columns(A)
+        if live.size < n:
+            # take copies whole rows, which is faster here than Z[live]
+            Z = Z.take(live, axis=0)
     D = np.zeros((cfg.k, n))  # row t holds round t's scores
     U_t = Basis(np.zeros((d, 0)))  # orthonormal basis of the vertices found so far
     for t in range(cfg.k):
@@ -244,8 +295,9 @@ def select_vertices(
                 f"{len(vertices)} selected vertices after {_REDRAW_LIMIT} redraws"
             )
         h_prime = h_prime / np.linalg.norm(h_prime)
-        D[t, live] = np.matmul(h_prime @ Y, Z_live.T)  # O((d + m) k) per round
-        R_t = select_indices(D[t], s, cfg.selection_mode)
+        u = np.matmul(h_prime @ Y, Z.T)  # O((d + m) k) per round
+        D[t, live] = u
+        R_t = _select_live(D[t], u, live, s, cfg.selection_mode)
         vertices.append(column_subset_mean(A, R_t))
         index_sets.append(R_t)
 
@@ -258,11 +310,13 @@ def learn_simplex(A: SparseColMatrix, cfg: LearnerConfig) -> VertexEstimates:
 
     Runs the factorization phase (two or three passes over A with the
     sketch, two per iteration with the power-iteration baseline) followed
-    by the selection phase; deterministic given (A, cfg).
+    by the selection phase, both on the columns of A that hold an entry;
+    deterministic given (A, cfg).  Equals ``select_vertices`` on the
+    output of ``compute_factors``, without building the n x k factor.
     """
-    Y, Z, flag = compute_factors(A, cfg)
-    est = select_vertices(A, Y, Z, cfg)
-    if flag and not est.rank_deficient:
+    fac = _factors(A, cfg)
+    est = select_vertices(A, fac.Y, fac.Z, cfg, fac.live)
+    if fac.rank_deficient and not est.rank_deficient:
         est = VertexEstimates(est.vertices, est.index_sets, est.directions, True)
     return est
 
@@ -279,12 +333,25 @@ def save_vertex_estimates(est: VertexEstimates, f: TextIO) -> None:
         f.write(" ".join(f"{x:.17g}" for x in est.vertices[:, t]) + "\n")
 
 
+def _fields(text: str, convert, line: int, message: str) -> list:
+    """The whitespace-separated fields of one line through ``convert``;
+    the first field it rejects raises ``ValueError("line N: " + message)``."""
+    values = []
+    for x in text.split():
+        try:
+            values.append(convert(x))
+        except ValueError:
+            raise ValueError(f"line {line}: " + message.format(x)) from None
+    return values
+
+
 def load_vertex_estimates(f: TextIO) -> VertexEstimates:
     """Read the block ``save_vertex_estimates`` writes.
 
     Raises ``ValueError`` naming the line on a header other than three
-    nonnegative integers, a wrong length, a column index that is
-    negative or past int64, or a non-finite vertex entry.
+    nonnegative integers, a wrong length, a column index that is not an
+    integer or is negative or past int64, or a vertex entry that is not
+    a finite number.
     """
     header = f.readline().split()
     if len(header) != 3 or not all(x.isdecimal() for x in header):
@@ -292,7 +359,7 @@ def load_vertex_estimates(f: TextIO) -> VertexEstimates:
     k, d, s = (int(x) for x in header)
     sets = []
     for line in range(2, k + 2):
-        row = [int(x) for x in f.readline().split()]
+        row = _fields(f.readline(), int, line, "column index {!r} is not an integer")
         if len(row) != s:
             raise ValueError(f"line {line}: index set size does not match header")
         bad = [i for i in row if not 0 <= i < 2**63]
@@ -302,7 +369,7 @@ def load_vertex_estimates(f: TextIO) -> VertexEstimates:
     vertices = np.empty((d, k))
     for t in range(k):
         line = k + 2 + t
-        vals = np.asarray([float(x) for x in f.readline().split()])
+        vals = np.asarray(_fields(f.readline(), float, line, "vertex entry {!r} is not a number"))
         if vals.size != d:
             raise ValueError(f"line {line}: vertex vector length does not match header")
         if not np.isfinite(vals).all():

@@ -8,11 +8,13 @@ factors of the projected matrix through a small eigendecomposition.
 A is read twice: once by the O(nnz + d c) sketch scatter, which adds
 fixed blocks of 2^18 entries into one d x c accumulator and equals the
 sparse product A S exactly, and once, at nnz times the working rank,
-for the projected Gram matrix, whose n x r product also yields the Z
-factor.  The exact dense singular values live here too, as the oracle
-for the top-k mass assumption and the rank-k tail budget of the
-reduction check, together with the classical subspace power iteration
-used as the comparison baseline.
+for the projected Gram matrix, whose m x r product also yields the Z
+factor.  Both passes, and every product after the sketch draw, run on
+the m columns of A that hold an entry, so an empty column costs a scan
+of its column pointer and one bucket draw.  The exact dense singular
+values live here too, as the oracle for the top-k mass assumption and
+the rank-k tail budget of the reduction check, together with the
+classical subspace power iteration used as the comparison baseline.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparsemat import SparseColMatrix
+from .sparsemat import SparseColMatrix, live_columns
 
 __all__ = [
     "CountSketch",
@@ -59,15 +61,19 @@ class CountSketch:
 
 @dataclass(frozen=True)
 class RankKFactors:
-    """Factors of the rank-k approximation B = Y Z^T.
+    """Factors of the rank-k approximation B = Y Z^T of a d x n matrix A.
 
-    Y has orthonormal columns.  If the sketched column space cannot
-    support the requested rank, the achievable rank is returned instead
-    and ``rank_deficient`` is set.
+    Y has orthonormal columns.  Z holds the rows of A^T Y for the m
+    columns ``live`` of A that hold an entry (row i for column live[i]);
+    the row of every other column is zero and is not stored, so Z costs
+    O(m k), not O(n k).  If the sketched column space cannot support the
+    requested rank, the achievable rank is returned instead and
+    ``rank_deficient`` is set.
     """
 
     Y: np.ndarray  # d x k, orthonormal columns
-    Z: np.ndarray  # n x k
+    Z: np.ndarray  # m x k
+    live: np.ndarray  # the m ascending indices of the columns of A with an entry
     k: int
     rank_deficient: bool = False
 
@@ -78,7 +84,8 @@ def make_countsketch(n: int, c: int, seed: int) -> CountSketch:
         raise ValueError("sketch dimension c must be at least 1")
     rng = np.random.default_rng(seed)
     bucket = rng.integers(0, c, size=n)
-    sign = rng.choice(np.array([-1.0, 1.0]), size=n)
+    # the draw rng.choice([-1.0, 1.0], size=n) makes, without its overhead
+    sign = np.array([-1.0, 1.0])[rng.integers(0, 2, size=n)]
     return CountSketch(n, c, bucket, sign, seed)
 
 
@@ -172,21 +179,23 @@ def _orth_columns(C: np.ndarray) -> np.ndarray:
 
 
 def _projected_gram(
-    A: SparseColMatrix, Q: np.ndarray
+    A: SparseColMatrix, Q: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """G = Q^T (A A^T) Q by whichever product order is cheaper.
 
     The d x d product route wins only for very sparse matrices; the
     pair-count bound on its output size keeps it off dense-ish inputs,
     where assembling a nearly dense matrix in sparse format would
-    dominate.  The streaming route also returns the n x r product
-    A^T Q it forms on the way (None on the d x d route), so the caller
-    can build Z from it without reading A again.
+    dominate.  A may be the live columns of a d x n matrix; the route is
+    decided on that matrix's n, so dropping empty columns moves no
+    input from one route to the other.  The streaming route also returns
+    the product A^T Q it forms on the way (None on the d x d route), so
+    the caller can build Z from it without reading A again.
     """
     r = Q.shape[1]
     col_nnz = A.column_nnz().astype(np.float64)
     pair_count = float(np.sum(col_nnz * col_nnz))
-    stream_flops = float(A.nnz) * r + float(A.cols) * r * r
+    stream_flops = float(A.nnz) * r + float(n) * r * r
     d = A.rows
     if d <= 4096 and pair_count < stream_flops and pair_count < 0.25 * d * d:
         AAt = A._scipy @ A._scipy.T
@@ -195,7 +204,7 @@ def _projected_gram(
         G = np.einsum("ij,ik->jk", Q, AAt @ Q)
         Wt = None
     else:
-        Wt = np.asarray(A._scipy.T @ Q)  # n x r, one pass over A
+        Wt = np.asarray(A._scipy.T @ Q)  # one row per column of A, one pass over A
         G = Wt.T @ Wt
     return 0.5 * (G + G.T), Wt
 
@@ -208,22 +217,35 @@ def mixed_lra(A: SparseColMatrix, k: int, seed: int = 0) -> RankKFactors:
     working-rank cap max(2k, k + 10), compress that d x c block with a
     seeded Gaussian test matrix; orthonormalize to get the basis Q; take
     the top-k directions of the projection of A onto span(Q) via the
-    small Gram matrix Q^T A A^T Q; return Y (those directions) and
-    Z = A^T Y.
+    small Gram matrix Q^T A A^T Q; return Y (those directions) and the
+    live rows of Z = A^T Y (see ``RankKFactors``).
 
-    Cost: one O(nnz(A) + d k^2) scatter for the sketch, which adds fixed
-    blocks of 2^18 entries of A into one d x c accumulator and equals
-    A S exactly; one nnz(A) * r pass for A^T Q (r is the working rank),
-    whose product with the top-k eigenvectors is Z on that route.  On
-    the d x d Gram route used for hyper-sparse input, Z takes one more
-    sparse pass.
+    Everything after the sketch draw runs on a zero-copy view of the m
+    columns of A that hold an entry.  The draw covers all n columns and
+    the view takes its live buckets and signs, and the Gram route is
+    decided on n, so the seeded stream and the route are those of the
+    whole matrix, and so is every output on the d x d route.  On the
+    streaming route, G sums over the m live rows of A^T Q without the
+    n - m zero rows, which can move its last bits when m < n.
+
+    Cost: one O(n) scan of the column pointers and the O(n) bucket
+    draw; one O(nnz(A) + m + d k^2) scatter for the sketch, which adds
+    fixed blocks of 2^18 entries of A into one d x c accumulator and
+    equals A S exactly; one O(nnz(A) r + m r^2) pass for A^T Q and its
+    Gram matrix (r is the working rank), whose product with the top-k
+    eigenvectors is Z on that route.  On the d x d Gram route used for
+    hyper-sparse input, Z takes one more sparse pass.
     """
     d, n = A.shape
     if not 1 <= k <= min(d, n):
         raise ValueError(f"k={k} must satisfy 1 <= k <= min(d, n) = {min(d, n)}")
     c = k * k
     s1, s2 = np.random.SeedSequence(seed).generate_state(2)
-    C = apply_countsketch(A, make_countsketch(n, c, int(s1)))
+    live, A_live = live_columns(A)
+    S = make_countsketch(n, c, int(s1))
+    if live.size < n:
+        S = CountSketch(live.size, c, S.bucket[live], S.sign[live], S.seed)
+    C = apply_countsketch(A_live, S)
 
     q_cap = max(2 * k, k + 10)
     if min(d, c) > q_cap:
@@ -232,23 +254,23 @@ def mixed_lra(A: SparseColMatrix, k: int, seed: int = 0) -> RankKFactors:
 
     Q = _orth_columns(C)
     if Q.shape[1] == 0:
-        return RankKFactors(np.zeros((d, 0)), np.zeros((n, 0)), 0, True)
+        return RankKFactors(np.zeros((d, 0)), np.zeros((live.size, 0)), live, 0, True)
 
-    G, Wt = _projected_gram(A, Q)
+    G, Wt = _projected_gram(A_live, Q, n)
     lam, vecs = np.linalg.eigh(G)
     order = np.argsort(lam)[::-1]
     lam, vecs = lam[order], vecs[:, order]
     positive = int(np.sum(lam > max(lam[0], 0.0) * len(lam) * np.finfo(float).eps))
     kk = min(k, positive)
     if kk == 0:
-        return RankKFactors(np.zeros((d, 0)), np.zeros((n, 0)), 0, True)
-    # contiguous: numpy's OpenBLAS threads the n x r by r x kk product when
+        return RankKFactors(np.zeros((d, 0)), np.zeros((live.size, 0)), live, 0, True)
+    # contiguous: numpy's OpenBLAS threads the m x r by r x kk product when
     # V is a strided view, and its idle workers then spin on the second core
     V = np.ascontiguousarray(vecs[:, :kk])
     Y = Q @ V
     # Z^T = Y^T A, so B = Y Z^T projects A onto span(Y); A^T Y = (A^T Q) V
-    Z = Wt @ V if Wt is not None else np.asarray(A._scipy.T @ Y)
-    return RankKFactors(Y, Z, kk, kk < k)
+    Z = Wt @ V if Wt is not None else np.asarray(A_live._scipy.T @ Y)
+    return RankKFactors(Y, Z, live, kk, kk < k)
 
 
 def _squared_singular_values(A: SparseColMatrix) -> np.ndarray:

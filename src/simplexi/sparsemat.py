@@ -28,6 +28,7 @@ __all__ = [
     "right_apply",
     "left_apply",
     "column_subset_mean",
+    "live_columns",
     "spectral_norm",
     "parse_edge_list",
     "save_matrix_snapshot",
@@ -213,6 +214,22 @@ def column_subset_mean(A: SparseColMatrix, S: np.ndarray) -> np.ndarray:
     count = A.col_ptr[S + 1] - start
     pos = np.repeat(start - (np.cumsum(count) - count), count) + np.arange(count.sum())
     return np.bincount(A.row_idx[pos], weights=A.values[pos], minlength=A.rows) / S.size
+
+
+def live_columns(A: SparseColMatrix) -> tuple[np.ndarray, SparseColMatrix]:
+    """(live, A_live): the ascending indices of the columns of A that hold an
+    entry, and those columns as a d x m matrix that shares ``row_idx`` and
+    ``values`` with A.  Column i of A_live is column live[i] of A; when
+    every column holds an entry, A_live is A itself.  One O(n) scan of
+    ``col_ptr``.
+    """
+    live = np.flatnonzero(A.col_ptr[1:] != A.col_ptr[:-1])
+    if live.size == A.cols:
+        return live, A
+    # each empty column starts where the next one does, so the start of the
+    # next live column (or nnz) ends each live column
+    col_ptr = np.append(A.col_ptr[live], A.col_ptr[-1])
+    return live, SparseColMatrix(A.rows, live.size, col_ptr, A.row_idx, A.values)
 
 
 def spectral_norm(

@@ -28,6 +28,14 @@ def random_sparse(d, n, density, seed, values="uniform") -> SparseColMatrix:
     return from_scipy(m)
 
 
+def full_Z(fac, n) -> np.ndarray:
+    """The n x k factor Z = A^T Y of ``RankKFactors``, with the zero rows of
+    the columns outside ``fac.live`` put back."""
+    Z = np.zeros((n, fac.Z.shape[1]))
+    Z[fac.live] = fac.Z
+    return Z
+
+
 def spectrum_matrix(d, n, s, seed):
     """Dense d x n matrix with prescribed singular values s (descending).
 

@@ -32,7 +32,13 @@ from simplexi.sketch import (
 from simplexi.sparsemat import parse_edge_list
 from simplexi.subspace import Basis, sin_theta
 
-from conftest import dense_to_csc, duplicated_vertex_instance, random_sparse, spectrum_matrix
+from conftest import (
+    dense_to_csc,
+    duplicated_vertex_instance,
+    full_Z,
+    random_sparse,
+    spectrum_matrix,
+)
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -103,7 +109,7 @@ def test_criterion_01_mixed_lra_oracle_bound():
         density = float(rng.uniform(0.005, 0.05))
         A = random_sparse(d, n, density, seed=9000 + t, values="ones")
         fac = mixed_lra(A, k, seed=9000 + t)
-        res = np.linalg.norm(A.toarray() - fac.Y @ fac.Z.T, ord=2)
+        res = np.linalg.norm(A.toarray() - fac.Y @ full_Z(fac, A.cols).T, ord=2)
         spec_tail, frob_tail = svd_tail_norms(A, k)
         ok += res**2 <= 2 * spec_tail**2 + frob_tail / k + 1e-12
     elapsed = time.time() - t0

@@ -202,6 +202,8 @@ class TestLearnAndEval:
         (3, "2", "-5", "line 3: column index -5 is out of range"),
         (1, "3 25 5", "3 25 x", "line 1: header must be 'k d s'"),
         (1, "3 25 5", "3 -25 5", "line 1: header must be 'k d s'"),
+        (2, "0", "x", "line 2: column index 'x' is not an integer"),
+        (6, "0.5", "abc", "line 6: vertex entry 'abc' is not a number"),
     ])
     def test_eval_malformed_estimates_are_usage_errors(
         self, tmp_path, instance_dir, capsys, line, old, new, message
@@ -222,6 +224,7 @@ class TestLearnAndEval:
                      "--out", str(tmp_path / "e")])
         assert code == 2
         assert capsys.readouterr().err == f"eval: cannot load estimates: {message}\n"
+        assert not (tmp_path / "e").exists()
 
     def test_eval_index_past_n_is_usage_error(self, tmp_path, instance_dir, capsys):
         import numpy as np
@@ -515,6 +518,14 @@ class TestBench:
         assert len(reps) - 1 == 2 * 2 * 2  # cells x repeats
         assert (out / "bench_times.svg").exists()
 
+    def test_k_one_is_timed_without_loss_runs(self, tmp_path):
+        out = tmp_path / "bench"
+        assert main(["bench", "--d", "20", "--n", "30", "--p-list", "0.2", "--k-list", "1",
+                     "--repeats", "1", "--out", str(out)]) == 0
+        header, row = read_csv(out / "bench.csv")
+        assert row[header.index("error")] == ""
+        assert float(row[header.index("mean_wall_time_sketch")]) > 0
+
     def test_empty_grid_is_usage_error(self, tmp_path, capsys):
         code = main([
             "bench", "--d", "50", "--n", "500", "--k-list", "",
@@ -615,6 +626,11 @@ class TestUsageErrors:
                      "gen: unknown model 'foo'", id="gen-model-flag"),
         pytest.param("learn", None, None, ["--bogus", "1"],
                      "simplexi: unrecognized arguments: --bogus 1", id="unknown-flag"),
+        pytest.param("bench", None, None, ["--k-list", "2,1", "--loss-delta", "0.1"],
+                     "bench: loss runs at k=1: k must be at least 2", id="bench-loss-k-1"),
+        pytest.param("bench", None, None, ["--loss-delta", "5"],
+                     "bench: loss runs at k=2: delta must lie in (0, 1]",
+                     id="bench-loss-delta-5"),
     ])
     def test_exit_2_with_one_line(self, tmp_path, capsys, monkeypatch,
                                   command, config, env, extra, message):
@@ -631,6 +647,36 @@ class TestUsageErrors:
             argv += ["--config", str(cfg)]
         assert main(argv) == 2
         assert capsys.readouterr().err == message.format(cfg=cfg) + "\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sweep, body, message", [
+        (False, "3 25 1\nx\n", "cannot load estimates: line 2: column index 'x' is not an "
+                               "integer"),
+        (False, "3 24 0\n\n\n\n" + "0 " * 24 + "\n" + ("0 " * 24 + "\n") * 2,
+         "estimates hold k=3 vertices of length d=24; the instance has k=3, d=25"),
+        (False, "1 25 1\n999\n" + "0 " * 25 + "\n",
+         "estimates hold k=1 vertices of length d=25; the instance has k=3, d=25"),
+        (False, "3 25 1\n999\n0\n0\n" + ("0 " * 25 + "\n") * 3,
+         "estimates select column 999; the instance has n=400"),
+        (True, "3 25 1\nx\n", "cannot load estimates {path}: line 2: column index 'x' is "
+                              "not an integer"),
+        (True, "3 25 1\n999\n0\n0\n" + ("0 " * 25 + "\n") * 3,
+         "{path}: selects column 999; the instance has n=400"),
+    ], ids=["malformed", "other-d", "other-k", "index-past-n", "sweep-malformed",
+            "sweep-index-past-n"])
+    def test_eval_rejected_estimates_create_no_out(self, tmp_path, capsys, sweep, body,
+                                                   message):
+        inst = tmp_path / "inst"
+        assert main(["gen", "--model", "clustering", "--d", "25", "--n", "400", "--k", "3",
+                     "--sigma-target", "1e-6", "--delta", "0.1",
+                     "--adversary-fraction", "0.2", "--seed", "5", "--out", str(inst)]) == 0
+        path = tmp_path / "sweep" / "est_k3_dn1.txt"
+        path.parent.mkdir()
+        path.write_text(body)
+        source = ["--sweep-estimates", str(path.parent)] if sweep else ["--estimates", str(path)]
+        argv = ["eval", "--instance", str(inst), *source, "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "eval: " + message.format(path=path) + "\n"
         assert not (tmp_path / "out").exists()
 
 

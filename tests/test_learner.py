@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import os
 import subprocess
@@ -308,15 +309,21 @@ class TestDeterminismAndConsistency:
         # third has n past the gate of select_indices' sampled cut; in the
         # fourth, 4197 of the 30001 columns hold an entry, and neither count
         # is a multiple of 8, so the live scoring product ends in BLAS's
-        # remainder rows
+        # remainder rows; the fifth is the second under the power-iteration
+        # baseline; in the sixth, 31 columns hold an entry and s = 200, so
+        # every round picks its block on the whole row
         script = textwrap.dedent("""
             import hashlib
             import numpy as np
             from simplexi import LearnerConfig, gen_bernoulli, learn_simplex
-            for d, n, p, k in ((300, 3000, 0.05, 8), (1000, 20000, 2e-4, 16),
-                               (200, 70000, 5e-4, 4), (500, 30001, 3e-4, 6)):
+            for d, n, p, k, baseline in (
+                (300, 3000, 0.05, 8, "sketch"), (1000, 20000, 2e-4, 16, "sketch"),
+                (200, 70000, 5e-4, 4, "sketch"), (500, 30001, 3e-4, 6, "sketch"),
+                (1000, 20000, 2e-4, 16, "power_iteration"), (100, 20000, 2e-5, 3, "sketch"),
+            ):
                 A = gen_bernoulli(d, n, p, 4)
-                est = learn_simplex(A, LearnerConfig(k=k, delta=0.01, seed=3))
+                cfg = LearnerConfig(k=k, delta=0.01, seed=3, baseline=baseline)
+                est = learn_simplex(A, cfg)
                 h = hashlib.sha256()
                 for a in (est.vertices, est.directions, *est.index_sets):
                     h.update(np.ascontiguousarray(a).tobytes())
@@ -332,7 +339,7 @@ class TestDeterminismAndConsistency:
                 text=True, timeout=120, check=True,
             )
             digests.append(out.stdout.split())
-        assert [len(x) for x in digests[0]] == [64, 64, 64, 64]
+        assert [len(x) for x in digests[0]] == [64] * 6
         assert digests[0] == digests[1]
 
 
@@ -527,8 +534,8 @@ class TestLiveColumnScoring:
         routes = []
         gram = sketch_mod._projected_gram
 
-        def spy(A, Q):
-            G, Wt = gram(A, Q)
+        def spy(*args):
+            G, Wt = gram(*args)
             routes.append(Wt is not None)
             return G, Wt
 
@@ -543,6 +550,149 @@ class TestLiveColumnScoring:
         empty = A.column_nnz() == 0
         assert 0 < empty.sum() < n and Y.shape[1] == 3
         assert np.all(Z[empty] == 0.0)
+
+
+class TestLiveSelection:
+    """``learn_simplex`` keeps only the live rows of Z and picks each block
+    among the live scores where that is exact; everything it returns must
+    equal the path through the n-row Z and the whole score row."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 150),
+        live_share=st.floats(0.0, 1.0),
+        scores=st.sampled_from(["mixed", "positive", "negative", "signed-zeros", "tied"]),
+        s_share=st.floats(0.0, 1.0),
+        mode=st.sampled_from(["two_sided", "abs"]),
+    )
+    # s above m
+    @example(seed=1, n=60, live_share=0.1, scores="mixed", s_share=0.5, mode="two_sided")
+    @example(seed=1, n=60, live_share=0.1, scores="mixed", s_share=0.5, mode="abs")
+    # live scores of one sign: the empty columns' zeros win the other side
+    @example(seed=2, n=90, live_share=0.5, scores="positive", s_share=0.1, mode="two_sided")
+    @example(seed=3, n=90, live_share=0.5, scores="negative", s_share=0.1, mode="two_sided")
+    # exact +-0.0 live scores, which tie with the empty columns' +0.0
+    @example(seed=4, n=70, live_share=0.9, scores="signed-zeros", s_share=0.3, mode="abs")
+    @example(seed=4, n=70, live_share=0.9, scores="signed-zeros", s_share=0.3,
+             mode="two_sided")
+    # ties at the cut, m = 13
+    @example(seed=5, n=29, live_share=0.45, scores="tied", s_share=0.1, mode="two_sided")
+    def test_live_choice_equals_full_row_choice(self, seed, n, live_share, scores, s_share,
+                                                mode):
+        rng = np.random.default_rng(seed)
+        m = round(live_share * n)
+        live = np.sort(rng.choice(n, size=m, replace=False))
+        if scores == "signed-zeros":
+            u = rng.choice([-0.0, 0.0, -1.0, 1.0], size=m)
+        elif scores == "tied":
+            u = rng.choice([-2.0, -1.0, 1.0, 2.0], size=m)
+        else:
+            u = rng.standard_normal(m)
+            if scores != "mixed":
+                u = np.abs(u) if scores == "positive" else -np.abs(u)
+        row = np.zeros(n)
+        row[live] = u
+        s = 1 + int(s_share * (n - 1))
+        got = learner_mod._select_live(row, u, live, s, mode)
+        np.testing.assert_array_equal(got, select_indices(row, s, mode))
+        np.testing.assert_array_equal(got, reference_select(row, s, mode))
+
+    @pytest.mark.parametrize("mode", ["two_sided", "abs"])
+    def test_live_choice_past_the_sampling_gate(self, mode):
+        # m past 2^16 live scores: the sampled cut runs on the live scores
+        rng = np.random.default_rng(9)
+        n, m, s = 100_000, 70_003, 150
+        live = np.sort(rng.choice(n, size=m, replace=False))
+        u = rng.standard_normal(m)
+        row = np.zeros(n)
+        row[live] = u
+        got = learner_mod._select_live(row, u, live, s, mode)
+        np.testing.assert_array_equal(got, reference_select(row, s, mode))
+
+    @pytest.fixture()
+    def row_sizes(self, monkeypatch):
+        """Lengths of the rows ``select_indices`` is called on."""
+        sizes = []
+        real = learner_mod.select_indices
+
+        def recording(u, s, mode="two_sided"):
+            sizes.append(np.asarray(u).size)
+            return real(u, s, mode)
+
+        monkeypatch.setattr(learner_mod, "select_indices", recording)
+        return sizes
+
+    @pytest.mark.parametrize("baseline", ["sketch", "power_iteration"])
+    @pytest.mark.parametrize("mode", ["two_sided", "abs"])
+    @pytest.mark.parametrize("d, n, m, rank, k, delta, whole_rows", [
+        (30, 2003, 301, 30, 8, 0.01, 0),  # m mod 8 = 5
+        # positive live columns of rank 5: a round can score them all one sign
+        (20, 700, 413, 5, 4, 0.05, None),
+        (12, 500, 37, 12, 3, 0.2, 3),  # s = 100 > m = 37
+    ], ids=["m301", "rank5", "s-above-m"])
+    def test_learn_simplex_equals_full_row_path(
+        self, row_sizes, baseline, mode, d, n, m, rank, k, delta, whole_rows
+    ):
+        A = _with_empty_columns(d, n, m, rank, seed=m)
+        cfg = LearnerConfig(k=k, delta=delta, seed=7, selection_mode=mode, baseline=baseline)
+        est = learn_simplex(A, cfg)
+        assert est.k == k and not est.rank_deficient
+        # one pick per round, on the m live scores or on the whole n-long row
+        assert len(row_sizes) == k and set(row_sizes) <= {m, n}
+        if whole_rows is not None:
+            assert row_sizes.count(n) == whole_rows
+        Y, Z, _ = compute_factors(A, cfg)
+        assert Z.shape == (n, k)
+        via_n_rows = select_vertices(A, Y, Z, cfg)
+        full_row = reference_select_vertices(A, Y, Z, cfg)
+        for ref in (via_n_rows, full_row):
+            assert np.array_equal(est.vertices, ref.vertices)
+            assert len(est.index_sets) == len(ref.index_sets)
+            for R, R_ref in zip(est.index_sets, ref.index_sets):
+                assert np.array_equal(R, R_ref)
+        # select_vertices scores the same live rows of Z with the same product;
+        # the product over all n rows may round its last rows differently
+        assert np.array_equal(est.directions, via_n_rows.directions)
+        scale = np.abs(full_row.directions).max()
+        assert np.all(np.abs(est.directions - full_row.directions) <= 1e-15 * scale)
+
+    def test_no_empty_column_takes_no_copy(self, monkeypatch):
+        class Uncopied(np.ndarray):
+            def take(self, *args, **kwargs):
+                raise AssertionError("Z was copied")
+
+            def copy(self, *args, **kwargs):
+                raise AssertionError("Z was copied")
+
+            def __getitem__(self, key):
+                raise AssertionError("Z was indexed")
+
+        rng = np.random.default_rng(2)
+        dense = rng.uniform(0.2, 1.0, (25, 400)) * (rng.random((25, 400)) < 0.3)
+        dense[0] = 1.0  # every column holds an entry
+        A = dense_to_csc(dense)
+        cfg = LearnerConfig(k=4, delta=0.05, seed=3)
+        want = learn_simplex(A, cfg)
+
+        sketched = []
+        real_apply = sketch_mod.apply_countsketch
+        real_lra = learner_mod.mixed_lra
+
+        def apply_spy(M, S):
+            sketched.append(M)
+            return real_apply(M, S)
+
+        def lra_spy(*args, **kwargs):
+            fac = real_lra(*args, **kwargs)
+            return dataclasses.replace(fac, Z=fac.Z.view(Uncopied))
+
+        monkeypatch.setattr(sketch_mod, "apply_countsketch", apply_spy)
+        monkeypatch.setattr(learner_mod, "mixed_lra", lra_spy)
+        est = learn_simplex(A, cfg)
+        assert len(sketched) == 1 and sketched[0] is A
+        assert np.array_equal(est.vertices, want.vertices)
+        assert np.array_equal(est.directions, want.directions)
 
 
 class TestDegenerateInputs:

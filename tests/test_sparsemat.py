@@ -11,6 +11,7 @@ from simplexi.sparsemat import (
     column_subset_mean,
     from_scipy,
     left_apply,
+    live_columns,
     load_dense_block,
     load_matrix_snapshot,
     parse_edge_list,
@@ -231,6 +232,26 @@ class TestProducts:
         via_transpose = right_apply(At, y)
         direct = left_apply(y, A)
         assert np.max(np.abs(via_transpose - direct)) <= 1e-12 * max(1.0, np.abs(direct).max())
+
+
+class TestLiveColumns:
+    @pytest.mark.parametrize("shape, density, seed", [
+        ((6, 40), 0.05, 1), ((9, 300), 0.01, 2), ((4, 7), 0.0, 3),
+    ])
+    def test_view_holds_the_columns_with_an_entry(self, shape, density, seed):
+        A = random_sparse(*shape, density, seed=seed)
+        live, view = live_columns(A)
+        dense = A.toarray()
+        np.testing.assert_array_equal(live, np.flatnonzero(np.any(dense != 0.0, axis=0)))
+        assert view.shape == (shape[0], live.size) and view.nnz == A.nnz
+        np.testing.assert_array_equal(view.toarray(), dense[:, live])
+        assert view.row_idx is A.row_idx and view.values is A.values
+
+    def test_no_empty_column_returns_the_matrix(self):
+        A = dense_to_csc(np.arange(1.0, 13.0).reshape(3, 4))
+        live, view = live_columns(A)
+        assert view is A
+        np.testing.assert_array_equal(live, np.arange(4))
 
 
 class TestColumnSubsetMean:
