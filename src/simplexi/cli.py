@@ -36,7 +36,7 @@ from . import svg
 from .learner import (
     LearnerConfig,
     LearnerError,
-    compute_factors,
+    _factors,
     learn_simplex,
     load_vertex_estimates,
     save_vertex_estimates,
@@ -300,7 +300,7 @@ def cmd_learn(o: dict) -> int:
 
     try:
         t0 = time.perf_counter()
-        Y, Z, factor_rank_deficient = compute_factors(A, cfg)
+        fac = _factors(A, cfg)
         t_factor = time.perf_counter() - t0
     except (RankRestoreError, np.linalg.LinAlgError) as exc:
         # LinAlgError subclasses ValueError, so it is caught first
@@ -310,7 +310,7 @@ def cmd_learn(o: dict) -> int:
         raise UsageError(str(exc)) from None
     try:
         t0 = time.perf_counter()
-        est = select_vertices(A, Y, Z, cfg)
+        est = select_vertices(A, fac.Y, fac.Z, cfg, fac.live)
         t_select = time.perf_counter() - t0
     except LearnerError as exc:
         print(f"learn: {exc}", file=sys.stderr)
@@ -328,7 +328,7 @@ def cmd_learn(o: dict) -> int:
         "input": inp, "k": cfg.k, "delta": cfg.delta, "seed": cfg.seed,
         "selection_mode": cfg.selection_mode, "baseline": cfg.baseline,
         # as learn_simplex reports it: from the factors or from selection
-        "rank_deficient": factor_rank_deficient or est.rank_deficient,
+        "rank_deficient": fac.rank_deficient or est.rank_deficient,
     }
     match_path = os.path.join(out, "match.csv")
     if truth is None or truth[0].shape[1] != est.k:

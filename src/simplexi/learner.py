@@ -12,12 +12,14 @@ Both phases work on the m columns of A that hold an entry: the factors
 keep only those rows of Z, and a round picks its block among the m live
 scores, which is exact whenever each side it compares has s live scores
 of its own sign (otherwise, as when s > m, the block is picked on the
-whole n-long row).  A round costs the O(d k + m k) scoring product, the
-scatter of its m scores into its row of the k x n directions (zero-
-filled once per call, the one O(k n) cost left), a few linear scans of
-the m scores (past m = 2^16 a strided sample fixes each side's cut, so
-only the entries past it are partitioned), and a read of the s
-selected columns.
+whole n-long row).  A round costs the O(d k + m k) scoring product,
+issued in row blocks that OpenBLAS runs on the calling thread (see
+``sketch._rows_matmul``), the scatter of its m scores into its row of
+the k x n directions (zero-filled once per call, the one O(k n) cost
+left; with no empty column the product writes the row itself and there
+is neither), a few linear scans of the m scores (from m = 2^14 on a
+strided sample fixes each side's cut, so only the entries past it are
+partitioned), and a read of the s selected columns.
 
 The factorization reads A twice with the sketch (the sketch, then
 A^T Q; hyper-sparse input takes one more pass for Z) and twice per
@@ -31,7 +33,13 @@ from typing import TextIO
 
 import numpy as np
 
-from .sketch import RankKFactors, default_power_iters, mixed_lra, subspace_power
+from .sketch import (
+    RankKFactors,
+    _rows_matmul,
+    default_power_iters,
+    mixed_lra,
+    subspace_power,
+)
 from .sparsemat import SparseColMatrix, column_subset_mean, live_columns
 from .subspace import Basis, extend_basis, project_out
 
@@ -120,14 +128,14 @@ def _smallest(key: np.ndarray, s: int) -> np.ndarray:
 
 
 _SAMPLE_STRIDE = 64
-_SAMPLED_MIN_N = 1 << 16
+_SAMPLED_MIN_N = 1 << 14
 
 
 def _extreme(v: np.ndarray, s: int, largest: bool) -> np.ndarray:
     """``_smallest(-v if largest else v, s)``: the s largest (or smallest)
     entries of v, ties toward the lower index, in (key, index) order.
 
-    From n = 2^16 on (and s <= n/4), a cut is read from every 64th entry,
+    From n = 2^14 on (and s <= n/4), a cut is read from every 64th entry,
     at rank 2 floor(s/64) + 8 from the extreme end, and only the entries at
     or past it go to ``_smallest``.  When at least s entries pass, they
     hold the answer with all its ties, in ascending index order, so the
@@ -156,7 +164,7 @@ def select_indices(u: np.ndarray, s: int, mode: str = "two_sided") -> np.ndarray
     with the larger |sum| wins, so one set never mixes signs.  Ties are
     broken toward the lower index; the result is scale-invariant under
     u -> c u for any c > 0.  Each side is one partition around its s-th
-    key, so a call costs O(n + s log s); from n = 2^16 on, each side
+    key, so a call costs O(n + s log s); from n = 2^14 on, each side
     partitions only a strided sample and the entries past the sample's
     cut, so a call reads u about three times (the finiteness check and
     one comparison per side).  Raises ``ValueError`` if u has a
@@ -271,7 +279,9 @@ def select_vertices(
         if live.size < n:
             # take copies whole rows, which is faster here than Z[live]
             Z = Z.take(live, axis=0)
-    D = np.zeros((cfg.k, n))  # row t holds round t's scores
+    # row t holds round t's scores; with no empty column the product writes
+    # each row that is returned whole, so it needs no zero fill
+    D = np.zeros((cfg.k, n)) if live.size < n else np.empty((cfg.k, n))
     U_t = Basis(np.zeros((d, 0)))  # orthonormal basis of the vertices found so far
     for t in range(cfg.k):
         if vertices:
@@ -295,8 +305,12 @@ def select_vertices(
                 f"{len(vertices)} selected vertices after {_REDRAW_LIMIT} redraws"
             )
         h_prime = h_prime / np.linalg.norm(h_prime)
-        u = np.matmul(h_prime @ Y, Z.T)  # O((d + m) k) per round
-        D[t, live] = u
+        w = h_prime @ Y
+        if live.size < n:
+            u = _rows_matmul(Z, w)  # O((d + m) k) per round
+            D[t][live] = u  # the row view's scatter is faster than D[t, live]
+        else:
+            u = _rows_matmul(Z, w, out=D[t])
         R_t = _select_live(D[t], u, live, s, cfg.selection_mode)
         vertices.append(column_subset_mean(A, R_t))
         index_sets.append(R_t)

@@ -11,10 +11,15 @@ sparse product A S exactly, and once, at nnz times the working rank,
 for the projected Gram matrix, whose m x r product also yields the Z
 factor.  Both passes, and every product after the sketch draw, run on
 the m columns of A that hold an entry, so an empty column costs a scan
-of its column pointer and one bucket draw.  The exact dense singular
-values live here too, as the oracle for the top-k mass assumption and
-the rank-k tail budget of the reduction check, together with the
-classical subspace power iteration used as the comparison baseline.
+of its column pointer and one bucket draw.  Below 2^24 multiply-adds
+the dense products are issued in row blocks, and the r x r
+eigenproblem for 26 <= r <= 64 goes to scipy's LAPACK, in shapes that
+OpenBLAS runs on the calling thread: a threaded call leaves its idle
+worker spinning on another core for about 0.15 s.  The exact dense
+singular values live here too, as the oracle for the top-k mass
+assumption and the rank-k tail budget of the reduction check, together
+with the classical subspace power iteration used as the comparison
+baseline.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ __all__ = [
 
 DENSE_ORACLE_LIMIT = 4000  # refuse the exact SVD when min(d, n) exceeds this
 _BLOCK_ENTRIES = 1 << 18  # entries of A per CountSketch scatter block
+_ROW_BLOCK_MADDS = 1 << 18  # multiply-adds per row block of a small dense product
+_THREADED_MADDS = 1 << 24  # from here a dense product's BLAS threads pay for themselves
 
 
 class RankRestoreError(RuntimeError):
@@ -128,6 +135,58 @@ def apply_countsketch(A: SparseColMatrix, S: CountSketch) -> np.ndarray:
     return out.reshape(c, d).T
 
 
+def _rows_matmul(X: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """X @ B for a 2-D X and a 1-D or 2-D B, optionally into ``out``.
+
+    OpenBLAS threads a gemv from about 460 000 elements and a gemm from
+    about a million multiply-adds, and after a threaded call its idle
+    worker spins on the second core for about 0.15 s, through every
+    single-threaded step that follows.  Below 2^24 multiply-adds the
+    product is therefore issued as row blocks of at most 2^18
+    multiply-adds each, which OpenBLAS runs on the calling thread; from
+    2^24 on, the threads pay for themselves and it is one call.  Blocks
+    hold a multiple of 8 rows where they can, so they end where the one
+    call's kernel groups end and a gemv gives the one call's bits; a gemm
+    on a block small enough for OpenBLAS's small-matrix kernel can round
+    its last bits otherwise.  When one block covers X, X is passed as it
+    is, without a slice.
+    """
+    m = X.shape[0]
+    width = X.shape[1] * (B.shape[1] if B.ndim == 2 else 1)
+    rows = _ROW_BLOCK_MADDS // max(width, 1)
+    if rows >= m or m * width >= _THREADED_MADDS:
+        return np.matmul(X, B, out=out)
+    if rows >= 8:
+        rows -= rows % 8
+    rows = max(rows, 1)
+    if out is None:
+        out = np.empty((m,) + B.shape[1:], dtype=np.result_type(X, B))
+    for i in range(0, m, rows):
+        np.matmul(X[i:i + rows], B, out=out[i:i + rows])
+    return out
+
+
+def _eigh(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(G)`` for a symmetric r x r G, ascending.
+
+    numpy's eigh threads from r = 26, where LAPACK switches to divide and
+    conquer, and scipy's dsyevd only from about r = 80; both run that
+    same LAPACK routine on the lower triangle and give the same bits.
+    For 26 <= r <= 64 scipy's is called, so the eigenproblem stays on the
+    calling thread.  Below that numpy's does not thread and saves scipy's
+    first-call buffer; above it, scipy's would thread too, and the
+    workers of the two libraries' OpenBLAS copies would spin at once.
+    """
+    if not 26 <= G.shape[0] <= 64:
+        return np.linalg.eigh(G)
+    from scipy.linalg.lapack import dsyevd
+
+    lam, vecs, info = dsyevd(G, compute_v=1, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevd failed with info={info}")
+    return lam, vecs
+
+
 def _cholqr2(X: np.ndarray) -> np.ndarray | None:
     """Two-pass Cholesky QR for well-conditioned tall blocks.
 
@@ -140,7 +199,8 @@ def _cholqr2(X: np.ndarray) -> np.ndarray | None:
     (LAPACK ``trtri``) rather than solving against X: scipy's OpenBLAS
     threads a triangular solve of any size, even 9 x 9, and its idle
     workers then spin on the second core while the caller's next
-    single-threaded stage runs.
+    single-threaded stage runs.  The product with the inverse is issued
+    through ``_rows_matmul`` for the same reason.
     """
     from scipy.linalg.lapack import dtrtri
 
@@ -153,7 +213,7 @@ def _cholqr2(X: np.ndarray) -> np.ndarray | None:
         L_inv, info = dtrtri(L, lower=1)
         if info != 0:
             return None
-        X = X @ L_inv.T
+        X = _rows_matmul(X, L_inv.T)
         if attempt == 1 and np.abs(G - np.eye(G.shape[0])).max() > 1e-4:
             return None  # first pass too degraded for the correction
     return np.ascontiguousarray(X)
@@ -235,6 +295,13 @@ def mixed_lra(A: SparseColMatrix, k: int, seed: int = 0) -> RankKFactors:
     Gram matrix (r is the working rank), whose product with the top-k
     eigenvectors is Z on that route.  On the d x d Gram route used for
     hyper-sparse input, Z takes one more sparse pass.
+
+    The compression and the Cholesky QR products go through
+    ``_rows_matmul`` and the eigenproblem through ``_eigh``, which keep
+    them on the calling thread below 2^24 multiply-adds and up to r = 64.
+    The Gram products and the products with the eigenvectors stay single
+    calls: at d = 1000, k = 16 OpenBLAS runs them on one thread too, but
+    at larger m r^2 or d r^2 they thread.
     """
     d, n = A.shape
     if not 1 <= k <= min(d, n):
@@ -250,14 +317,14 @@ def mixed_lra(A: SparseColMatrix, k: int, seed: int = 0) -> RankKFactors:
     q_cap = max(2 * k, k + 10)
     if min(d, c) > q_cap:
         # range compression to the working rank
-        C = C @ np.random.default_rng(int(s2)).standard_normal((c, q_cap))
+        C = _rows_matmul(C, np.random.default_rng(int(s2)).standard_normal((c, q_cap)))
 
     Q = _orth_columns(C)
     if Q.shape[1] == 0:
         return RankKFactors(np.zeros((d, 0)), np.zeros((live.size, 0)), live, 0, True)
 
     G, Wt = _projected_gram(A_live, Q, n)
-    lam, vecs = np.linalg.eigh(G)
+    lam, vecs = _eigh(G)
     order = np.argsort(lam)[::-1]
     lam, vecs = lam[order], vecs[:, order]
     positive = int(np.sum(lam > max(lam[0], 0.0) * len(lam) * np.finfo(float).eps))

@@ -473,6 +473,41 @@ class TestLearnAndEval:
         ]) == 0
         assert "rank_deficient=True\n" in (out / "manifest.txt").read_text()
 
+    def test_learn_scores_only_the_columns_that_hold_an_entry(self, tmp_path, monkeypatch):
+        import io
+
+        import numpy as np
+
+        import simplexi.cli as cli_mod
+        from simplexi import LearnerConfig, gen_bernoulli, learn_simplex
+        from simplexi.learner import save_vertex_estimates
+        from simplexi.sparsemat import save_matrix_snapshot
+
+        A = gen_bernoulli(40, 3000, 0.002, 1)  # most columns hold no entry
+        m = int(np.count_nonzero(np.diff(A.col_ptr)))
+        path = tmp_path / "matrix.txt"
+        with open(path, "w") as f:
+            save_matrix_snapshot(A, f)
+        rows = []
+        real = cli_mod.select_vertices
+
+        def spy(A, Y, Z, cfg, live=None):
+            rows.append(Z.shape[0])
+            return real(A, Y, Z, cfg, live)
+
+        monkeypatch.setattr(cli_mod, "select_vertices", spy)
+        out = tmp_path / "learned"
+        assert main([
+            "learn", "--input", str(path), "--k", "4", "--delta", "0.01", "--seed", "2",
+            "--out", str(out),
+        ]) == 0
+        assert rows == [m] and m < A.cols  # the factor Z kept the live rows only
+        want = io.StringIO()
+        save_vertex_estimates(learn_simplex(A, LearnerConfig(k=4, delta=0.01, seed=2)), want)
+        assert (out / "estimates.txt").read_text() == want.getvalue()
+        phases = [row[0] for row in read_csv(out / "timings.csv")]
+        assert phases == ["phase", "factorization", "selection"]
+
     def test_learn_other_runtime_error_propagates(self, tmp_path, instance_dir, monkeypatch):
         import simplexi.learner as learner_mod
 

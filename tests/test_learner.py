@@ -111,7 +111,7 @@ class TestSelectIndicesProperty:
 
 
 class TestSelectIndicesSampledCut:
-    """From n = 2^16 on, each side first cuts at a strided sample."""
+    """From n = 2^14 on, each side first cuts at a strided sample."""
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -186,8 +186,9 @@ class TestSelectIndicesSampledCut:
         select_indices(rng.standard_normal(n - 1), 20, "two_sided")
         assert sizes == [n - 1, n - 1]  # below the gate: the exact search on all of u
         sizes.clear()
-        select_indices(rng.standard_normal(n), 200, "two_sided")
-        assert len(sizes) == 2 and max(sizes) < n // 16  # at it: only the candidates
+        # at it: only the candidates, about 64 (2 floor(s/64) + 8) = 512 per side
+        select_indices(rng.standard_normal(n), 20, "two_sided")
+        assert len(sizes) == 2 and max(sizes) < n // 16
 
 
 class TestLearnerConfig:
@@ -311,7 +312,8 @@ class TestDeterminismAndConsistency:
         # is a multiple of 8, so the live scoring product ends in BLAS's
         # remainder rows; the fifth is the second under the power-iteration
         # baseline; in the sixth, 31 columns hold an entry and s = 200, so
-        # every round picks its block on the whole row
+        # every round picks its block on the whole row; the seventh has
+        # working rank 26, the smallest eigenproblem that goes to scipy
         script = textwrap.dedent("""
             import hashlib
             import numpy as np
@@ -320,6 +322,7 @@ class TestDeterminismAndConsistency:
                 (300, 3000, 0.05, 8, "sketch"), (1000, 20000, 2e-4, 16, "sketch"),
                 (200, 70000, 5e-4, 4, "sketch"), (500, 30001, 3e-4, 6, "sketch"),
                 (1000, 20000, 2e-4, 16, "power_iteration"), (100, 20000, 2e-5, 3, "sketch"),
+                (1000, 50000, 5e-4, 13, "sketch"),
             ):
                 A = gen_bernoulli(d, n, p, 4)
                 cfg = LearnerConfig(k=k, delta=0.01, seed=3, baseline=baseline)
@@ -329,18 +332,42 @@ class TestDeterminismAndConsistency:
                     h.update(np.ascontiguousarray(a).tobytes())
                 print(h.hexdigest())
         """)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        digests = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            out = subprocess.run(
-                [sys.executable, "-c", script], env=env, capture_output=True,
-                text=True, timeout=120, check=True,
-            )
-            digests.append(out.stdout.split())
-        assert [len(x) for x in digests[0]] == [64] * 6
+        digests = [_run_script(script, threads).split() for threads in ("1", "2")]
+        assert [len(x) for x in digests[0]] == [64] * 7
         assert digests[0] == digests[1]
+
+
+class TestSingleBlasThread:
+    def test_sparse_learner_keeps_one_core_busy(self):
+        # after a threaded BLAS call OpenBLAS's idle worker spins on a second
+        # core for about 0.15 s, longer than one of these calls, so a single
+        # threaded call per call of learn_simplex doubles its CPU time
+        script = textwrap.dedent("""
+            import time
+            from simplexi import LearnerConfig, gen_bernoulli, learn_simplex
+            A = gen_bernoulli(1000, 200_000, 1 / 5000, 4)
+            learn_simplex(A, LearnerConfig(k=16, delta=1e-3, seed=0))
+            time.sleep(0.3)  # a worker the generator woke goes idle
+            wall, cpu = time.perf_counter(), time.process_time()
+            for seed in range(20):
+                learn_simplex(A, LearnerConfig(k=16, delta=1e-3, seed=seed))
+            print(time.process_time() - cpu, time.perf_counter() - wall)
+        """)
+        cpu, wall = map(float, _run_script(script, "2").split())
+        assert cpu <= 1.3 * wall, (cpu, wall)
+
+
+def _run_script(script: str, threads: str) -> str:
+    """Standard output of ``script`` run with OPENBLAS_NUM_THREADS=threads
+    in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, timeout=120, check=True,
+    )
+    return out.stdout
 
 
 class TestIndexFreshness:
@@ -600,7 +627,7 @@ class TestLiveSelection:
 
     @pytest.mark.parametrize("mode", ["two_sided", "abs"])
     def test_live_choice_past_the_sampling_gate(self, mode):
-        # m past 2^16 live scores: the sampled cut runs on the live scores
+        # m live scores past the gate: the sampled cut runs on the live scores
         rng = np.random.default_rng(9)
         n, m, s = 100_000, 70_003, 150
         live = np.sort(rng.choice(n, size=m, replace=False))

@@ -290,6 +290,84 @@ class TestMixedLra:
         assert res**2 <= 4 * spec_tail**2
 
 
+class TestSingleThreadCallShapes:
+    """The dense products and the small eigenproblem are issued in shapes
+    that OpenBLAS runs on the calling thread, with the bits of one call."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("m, k", [(20000, 16), (20165, 13), (30122, 12), (40003, 8)])
+    def test_row_blocks_equal_one_gemv(self, order, m, k):
+        # under 460 800 elements one gemv stays on one thread; past 2^18
+        # the helper splits it.  At k = 13 and 12, 2^18 // k is not a
+        # multiple of 8, and blocks of that many rows round some rows of
+        # these products otherwise
+        rng = np.random.default_rng(m)
+        X = np.asarray(rng.standard_normal((m, k)), order=order)
+        w = rng.standard_normal(k)
+        assert m * k < 460_800 and sketch_mod._ROW_BLOCK_MADDS // k < m
+        want = X @ w
+        assert np.array_equal(sketch_mod._rows_matmul(X, w), want)
+        out = np.full(m, np.nan)
+        assert sketch_mod._rows_matmul(X, w, out=out) is out
+        assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("m, c, q, b_order", [
+        (700, 32, 32, "F"),  # X @ L_inv.T in _cholqr2
+        (1000, 26, 26, "F"),
+        (90, 256, 32, "C"),  # the sketch compression
+        (603, 40, 30, "C"),
+    ])
+    def test_row_blocks_equal_one_gemm(self, order, m, c, q, b_order):
+        # under 819 200 multiply-adds one gemm stays on one thread
+        rng = np.random.default_rng(c * q)
+        X = np.asarray(rng.standard_normal((m, c)), order=order)
+        B = np.asarray(rng.standard_normal((c, q)), order=b_order)
+        assert m * c * q < 819_200 and sketch_mod._ROW_BLOCK_MADDS // (c * q) < m
+        assert np.array_equal(sketch_mod._rows_matmul(X, B), X @ B)
+
+    def test_threaded_size_and_one_block_take_no_slice(self):
+        class Unsliced(np.ndarray):
+            def __getitem__(self, key):
+                raise AssertionError("X was sliced")
+
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((4096, 64))
+        B = rng.standard_normal((64, 64))  # 2^24 multiply-adds: the threads pay
+        assert np.array_equal(sketch_mod._rows_matmul(X.view(Unsliced), B), X @ B)
+        small = rng.standard_normal((500, 16))  # 8000 < 2^18: one block
+        w = rng.standard_normal(16)
+        assert np.array_equal(sketch_mod._rows_matmul(small.view(Unsliced), w), small @ w)
+
+    @pytest.mark.parametrize("r", [26, 32, 48, 64])
+    def test_scipy_dsyevd_equals_numpy_eigh(self, r):
+        rng = np.random.default_rng(r)
+        for _ in range(5):
+            M = rng.standard_normal((r, 3 * r))
+            G = M @ M.T
+            G = 0.5 * (G + G.T)
+            lam, vecs = sketch_mod._eigh(G)
+            want_lam, want_vecs = np.linalg.eigh(G)
+            assert np.array_equal(lam, want_lam)
+            assert np.array_equal(vecs, want_vecs)
+
+    @pytest.mark.parametrize("k, numpy_calls", [(16, 0), (50, 1)])
+    def test_numpy_eigh_only_past_rank_64(self, monkeypatch, k, numpy_calls):
+        # working rank 2k: 32 goes to scipy's dsyevd, 100 to numpy's eigh
+        calls = []
+        real = np.linalg.eigh
+
+        def spy(G, *args, **kwargs):
+            calls.append(G.shape[0])
+            return real(G, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        A = gen_bernoulli(300, 6000, 0.01, seed=5)
+        fac = mixed_lra(A, k, seed=1)
+        assert fac.k == k
+        assert calls == [2 * k] * numpy_calls
+
+
 class TestSubspacePower:
     def test_dominant_axis(self):
         A = dense_to_csc(np.diag([10.0, 1.0, 0.1]))
