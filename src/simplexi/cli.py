@@ -36,11 +36,9 @@ from . import svg
 from .learner import (
     LearnerConfig,
     LearnerError,
-    _factors,
     learn_simplex,
     load_vertex_estimates,
     save_vertex_estimates,
-    select_vertices,
 )
 from .metrics import (
     SMOOTHING_TRIALS,
@@ -298,23 +296,15 @@ def cmd_learn(o: dict) -> int:
     except (ValueError, OSError) as exc:
         raise UsageError(str(exc)) from None
 
+    timings: dict[str, float] = {}
     try:
-        t0 = time.perf_counter()
-        fac = _factors(A, cfg)
-        t_factor = time.perf_counter() - t0
-    except (RankRestoreError, np.linalg.LinAlgError) as exc:
+        est = learn_simplex(A, cfg, timings)
+    except (RankRestoreError, np.linalg.LinAlgError, LearnerError) as exc:
         # LinAlgError subclasses ValueError, so it is caught first
         print(f"learn: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
     except ValueError as exc:  # k above min(d, n)
         raise UsageError(str(exc)) from None
-    try:
-        t0 = time.perf_counter()
-        est = select_vertices(A, fac.Y, fac.Z, cfg, fac.live)
-        t_select = time.perf_counter() - t0
-    except LearnerError as exc:
-        print(f"learn: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
 
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "estimates.txt"), "w") as f:
@@ -322,13 +312,12 @@ def cmd_learn(o: dict) -> int:
     _write_csv(
         os.path.join(out, "timings.csv"),
         ["phase", "seconds"],
-        [["factorization", _fmt(t_factor)], ["selection", _fmt(t_select)]],
+        [[phase, _fmt(t)] for phase, t in timings.items()],
     )
     resolved = {
         "input": inp, "k": cfg.k, "delta": cfg.delta, "seed": cfg.seed,
         "selection_mode": cfg.selection_mode, "baseline": cfg.baseline,
-        # as learn_simplex reports it: from the factors or from selection
-        "rank_deficient": fac.rank_deficient or est.rank_deficient,
+        "rank_deficient": est.rank_deficient,
     }
     match_path = os.path.join(out, "match.csv")
     if truth is None or truth[0].shape[1] != est.k:

@@ -13,13 +13,12 @@ keep only those rows of Z, and a round picks its block among the m live
 scores, which is exact whenever each side it compares has s live scores
 of its own sign (otherwise, as when s > m, the block is picked on the
 whole n-long row).  A round costs the O(d k + m k) scoring product,
-issued in row blocks that OpenBLAS runs on the calling thread (see
-``sketch._rows_matmul``), the scatter of its m scores into its row of
-the k x n directions (zero-filled once per call, the one O(k n) cost
-left; with no empty column the product writes the row itself and there
-is neither), a few linear scans of the m scores (from m = 2^14 on a
-strided sample fixes each side's cut, so only the entries past it are
-partitioned), and a read of the s selected columns.
+issued below 2^24 multiply-adds in row blocks that OpenBLAS runs on
+the calling thread (see ``sketch._rows_matmul``), the scatter of its m
+scores into its row of the k x n directions (zero-filled once per
+call, the one O(k n) cost left), a few linear scans of the m scores
+(from m = 2^14 on a strided sample fixes each side's cut, so only the
+entries past it are partitioned), and a read of the s selected columns.
 
 The factorization reads A twice with the sketch (the sketch, then
 A^T Q; hyper-sparse input takes one more pass for Z) and twice per
@@ -29,6 +28,7 @@ iteration with the power-iteration baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import time
 from typing import TextIO
 
 import numpy as np
@@ -279,9 +279,7 @@ def select_vertices(
         if live.size < n:
             # take copies whole rows, which is faster here than Z[live]
             Z = Z.take(live, axis=0)
-    # row t holds round t's scores; with no empty column the product writes
-    # each row that is returned whole, so it needs no zero fill
-    D = np.zeros((cfg.k, n)) if live.size < n else np.empty((cfg.k, n))
+    D = np.zeros((cfg.k, n))  # row t holds round t's scores
     U_t = Basis(np.zeros((d, 0)))  # orthonormal basis of the vertices found so far
     for t in range(cfg.k):
         if vertices:
@@ -305,12 +303,8 @@ def select_vertices(
                 f"{len(vertices)} selected vertices after {_REDRAW_LIMIT} redraws"
             )
         h_prime = h_prime / np.linalg.norm(h_prime)
-        w = h_prime @ Y
-        if live.size < n:
-            u = _rows_matmul(Z, w)  # O((d + m) k) per round
-            D[t][live] = u  # the row view's scatter is faster than D[t, live]
-        else:
-            u = _rows_matmul(Z, w, out=D[t])
+        u = _rows_matmul(Z, h_prime @ Y)  # O((d + m) k) per round
+        D[t][live] = u  # the row view's scatter is faster than D[t, live]
         R_t = _select_live(D[t], u, live, s, cfg.selection_mode)
         vertices.append(column_subset_mean(A, R_t))
         index_sets.append(R_t)
@@ -319,7 +313,9 @@ def select_vertices(
     return VertexEstimates(V, tuple(index_sets), D[: len(vertices)], rank_deficient)
 
 
-def learn_simplex(A: SparseColMatrix, cfg: LearnerConfig) -> VertexEstimates:
+def learn_simplex(
+    A: SparseColMatrix, cfg: LearnerConfig, timings: dict[str, float] | None = None
+) -> VertexEstimates:
     """Recover k vertex estimates from a sparse observation matrix.
 
     Runs the factorization phase (two or three passes over A with the
@@ -327,9 +323,16 @@ def learn_simplex(A: SparseColMatrix, cfg: LearnerConfig) -> VertexEstimates:
     by the selection phase, both on the columns of A that hold an entry;
     deterministic given (A, cfg).  Equals ``select_vertices`` on the
     output of ``compute_factors``, without building the n x k factor.
+    Given ``timings``, stores each phase's wall seconds in it under
+    "factorization" and "selection".
     """
+    t0 = time.perf_counter()
     fac = _factors(A, cfg)
+    t1 = time.perf_counter()
     est = select_vertices(A, fac.Y, fac.Z, cfg, fac.live)
+    if timings is not None:
+        timings["factorization"] = t1 - t0
+        timings["selection"] = time.perf_counter() - t1
     if fac.rank_deficient and not est.rank_deficient:
         est = VertexEstimates(est.vertices, est.index_sets, est.directions, True)
     return est

@@ -12,14 +12,14 @@ for the projected Gram matrix, whose m x r product also yields the Z
 factor.  Both passes, and every product after the sketch draw, run on
 the m columns of A that hold an entry, so an empty column costs a scan
 of its column pointer and one bucket draw.  Below 2^24 multiply-adds
-the dense products are issued in row blocks, and the r x r
-eigenproblem for 26 <= r <= 64 goes to scipy's LAPACK, in shapes that
-OpenBLAS runs on the calling thread: a threaded call leaves its idle
-worker spinning on another core for about 0.15 s.  The exact dense
-singular values live here too, as the oracle for the top-k mass
-assumption and the rank-k tail budget of the reduction check, together
-with the classical subspace power iteration used as the comparison
-baseline.
+the compression and, up to working rank 64, the Cholesky QR products
+are issued in row blocks, and the r x r eigenproblem for 26 <= r <= 64
+goes to scipy's LAPACK, in shapes that OpenBLAS runs on the calling
+thread: a threaded call leaves its idle worker spinning on another
+core for about 0.15 s.  The exact dense singular values live here too,
+as the oracle for the top-k mass assumption and the rank-k tail budget
+of the reduction check, together with the classical subspace power
+iteration used as the comparison baseline.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ __all__ = [
 DENSE_ORACLE_LIMIT = 4000  # refuse the exact SVD when min(d, n) exceeds this
 _BLOCK_ENTRIES = 1 << 18  # entries of A per CountSketch scatter block
 _ROW_BLOCK_MADDS = 1 << 18  # multiply-adds per row block of a small dense product
-_THREADED_MADDS = 1 << 24  # from here a dense product's BLAS threads pay for themselves
+_THREADED_MADDS = 1 << 24  # from here a dense product is one call (see _rows_matmul)
 
 
 class RankRestoreError(RuntimeError):
@@ -135,8 +135,8 @@ def apply_countsketch(A: SparseColMatrix, S: CountSketch) -> np.ndarray:
     return out.reshape(c, d).T
 
 
-def _rows_matmul(X: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """X @ B for a 2-D X and a 1-D or 2-D B, optionally into ``out``.
+def _rows_matmul(X: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """X @ B for a 2-D X and a 1-D or 2-D B.
 
     OpenBLAS threads a gemv from about 460 000 elements and a gemm from
     about a million multiply-adds, and after a threaded call its idle
@@ -144,7 +144,14 @@ def _rows_matmul(X: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) ->
     single-threaded step that follows.  Below 2^24 multiply-adds the
     product is therefore issued as row blocks of at most 2^18
     multiply-adds each, which OpenBLAS runs on the calling thread; from
-    2^24 on, the threads pay for themselves and it is one call.  Blocks
+    2^24 on it is one call.  That cut rests on two gemm shapes: the
+    sparse learner's 1000 x 256 x 32 compression runs split, and the
+    dense learner's 2000 x 1024 x 64 compression (2^27 multiply-adds)
+    took 6.6 ms as one call on two threads against 9.4 ms on one.  It
+    was not measured for a gemv, which is memory-bound and already runs
+    about twice as fast on two threads at 580 000 elements, so a score
+    gemv between about 460 000 and 2^24 elements runs split at about
+    twice the wall time of one threaded call.  Blocks
     hold a multiple of 8 rows where they can, so they end where the one
     call's kernel groups end and a gemv gives the one call's bits; a gemm
     on a block small enough for OpenBLAS's small-matrix kernel can round
@@ -155,12 +162,11 @@ def _rows_matmul(X: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) ->
     width = X.shape[1] * (B.shape[1] if B.ndim == 2 else 1)
     rows = _ROW_BLOCK_MADDS // max(width, 1)
     if rows >= m or m * width >= _THREADED_MADDS:
-        return np.matmul(X, B, out=out)
+        return X @ B
     if rows >= 8:
         rows -= rows % 8
     rows = max(rows, 1)
-    if out is None:
-        out = np.empty((m,) + B.shape[1:], dtype=np.result_type(X, B))
+    out = np.empty((m,) + B.shape[1:], dtype=np.result_type(X, B))
     for i in range(0, m, rows):
         np.matmul(X[i:i + rows], B, out=out[i:i + rows])
     return out
@@ -173,8 +179,9 @@ def _eigh(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     conquer, and scipy's dsyevd only from about r = 80; both run that
     same LAPACK routine on the lower triangle and give the same bits.
     For 26 <= r <= 64 scipy's is called, so the eigenproblem stays on the
-    calling thread.  Below that numpy's does not thread and saves scipy's
-    first-call buffer; above it, scipy's would thread too, and the
+    calling thread.  Below that numpy's does not thread, and scipy's
+    first call would touch its OpenBLAS's buffer (the CLI's k = 3 run
+    peaked 0.8 MB higher); above it, scipy's would thread too, and the
     workers of the two libraries' OpenBLAS copies would spin at once.
     """
     if not 26 <= G.shape[0] <= 64:
@@ -199,8 +206,11 @@ def _cholqr2(X: np.ndarray) -> np.ndarray | None:
     (LAPACK ``trtri``) rather than solving against X: scipy's OpenBLAS
     threads a triangular solve of any size, even 9 x 9, and its idle
     workers then spin on the second core while the caller's next
-    single-threaded stage runs.  The product with the inverse is issued
-    through ``_rows_matmul`` for the same reason.
+    single-threaded stage runs.  For the same reason the product with
+    the inverse is issued through ``_rows_matmul`` up to 64 columns,
+    where ``_eigh`` keeps the caller's eigenproblem on one thread too;
+    past that the eigenproblem threads anyway and the product is one
+    call.
     """
     from scipy.linalg.lapack import dtrtri
 
@@ -213,7 +223,7 @@ def _cholqr2(X: np.ndarray) -> np.ndarray | None:
         L_inv, info = dtrtri(L, lower=1)
         if info != 0:
             return None
-        X = _rows_matmul(X, L_inv.T)
+        X = _rows_matmul(X, L_inv.T) if X.shape[1] <= 64 else X @ L_inv.T
         if attempt == 1 and np.abs(G - np.eye(G.shape[0])).max() > 1e-4:
             return None  # first pass too degraded for the correction
     return np.ascontiguousarray(X)
@@ -296,12 +306,13 @@ def mixed_lra(A: SparseColMatrix, k: int, seed: int = 0) -> RankKFactors:
     eigenvectors is Z on that route.  On the d x d Gram route used for
     hyper-sparse input, Z takes one more sparse pass.
 
-    The compression and the Cholesky QR products go through
-    ``_rows_matmul`` and the eigenproblem through ``_eigh``, which keep
-    them on the calling thread below 2^24 multiply-adds and up to r = 64.
-    The Gram products and the products with the eigenvectors stay single
-    calls: at d = 1000, k = 16 OpenBLAS runs them on one thread too, but
-    at larger m r^2 or d r^2 they thread.
+    The compression goes through ``_rows_matmul``, which keeps it on the
+    calling thread below 2^24 multiply-adds; up to r = 64 the Cholesky
+    QR products do too, and ``_eigh`` keeps the eigenproblem there from
+    r = 26, where numpy's would thread.  The Gram products and the
+    products with the eigenvectors stay single calls: at d = 1000,
+    k = 16 OpenBLAS runs them on one thread too, but at larger m r^2 or
+    d r^2 they thread.
     """
     d, n = A.shape
     if not 1 <= k <= min(d, n):

@@ -478,7 +478,7 @@ class TestLearnAndEval:
 
         import numpy as np
 
-        import simplexi.cli as cli_mod
+        import simplexi.learner as learner_mod
         from simplexi import LearnerConfig, gen_bernoulli, learn_simplex
         from simplexi.learner import save_vertex_estimates
         from simplexi.sparsemat import save_matrix_snapshot
@@ -489,13 +489,13 @@ class TestLearnAndEval:
         with open(path, "w") as f:
             save_matrix_snapshot(A, f)
         rows = []
-        real = cli_mod.select_vertices
+        real = learner_mod.select_vertices
 
         def spy(A, Y, Z, cfg, live=None):
             rows.append(Z.shape[0])
             return real(A, Y, Z, cfg, live)
 
-        monkeypatch.setattr(cli_mod, "select_vertices", spy)
+        monkeypatch.setattr(learner_mod, "select_vertices", spy)
         out = tmp_path / "learned"
         assert main([
             "learn", "--input", str(path), "--k", "4", "--delta", "0.01", "--seed", "2",

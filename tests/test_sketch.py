@@ -307,9 +307,6 @@ class TestSingleThreadCallShapes:
         assert m * k < 460_800 and sketch_mod._ROW_BLOCK_MADDS // k < m
         want = X @ w
         assert np.array_equal(sketch_mod._rows_matmul(X, w), want)
-        out = np.full(m, np.nan)
-        assert sketch_mod._rows_matmul(X, w, out=out) is out
-        assert np.array_equal(out, want)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("m, c, q, b_order", [
@@ -366,6 +363,30 @@ class TestSingleThreadCallShapes:
         fac = mixed_lra(A, k, seed=1)
         assert fac.k == k
         assert calls == [2 * k] * numpy_calls
+
+    @pytest.mark.parametrize("r, split", [(32, True), (64, True), (65, False), (100, False)])
+    def test_cholqr2_splits_only_up_to_rank_64(self, monkeypatch, r, split):
+        # past r = 64 the caller's eigenproblem threads anyway, so the
+        # product with the inverse factor is one call with one call's bits
+        from scipy.linalg.lapack import dtrtri
+
+        widths = []
+        real = sketch_mod._rows_matmul
+
+        def spy(X, B):
+            widths.append(X.shape[1])
+            return real(X, B)
+
+        monkeypatch.setattr(sketch_mod, "_rows_matmul", spy)
+        X = np.random.default_rng(r).standard_normal((1000, r))
+        Q = sketch_mod._cholqr2(X)
+        assert widths == ([r, r] if split else [])
+        if not split:
+            want = X
+            for _ in range(2):
+                L = np.linalg.cholesky(want.T @ want)
+                want = want @ dtrtri(L, lower=1)[0].T
+            assert np.array_equal(Q, want)
 
 
 class TestSubspacePower:
