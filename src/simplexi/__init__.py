@@ -35,7 +35,6 @@ from .models import (
 )
 from .sketch import (
     CountSketch,
-    PowerIterationResult,
     RankKFactors,
     RankRestoreError,
     apply_countsketch,

@@ -1,24 +1,26 @@
 """Iterative recovery of simplex vertices from rank-k factors.
 
-After the factorization builds the rank-k factors (Y, Z), each of the
-k selection rounds works entirely inside the factored form: a random
-direction is drawn in the column space of Y, projected away from the
-vertices found so far, pushed through Z^T to score every column that
-holds an entry (an empty column's row of Z is zero, so it scores +0.0),
-and the best-scoring block of columns is averaged into a new vertex.
-Only those selected columns of A are ever read again.
+The factorization builds the rank-k factors (Y, Z) and hands them to
+selection as one ``RankKFactors``.  Each of the k selection rounds works
+entirely inside the factored form: a random direction is drawn in the
+column space of Y, projected away from the vertices found so far, pushed
+through Z^T to score every column that holds an entry (an empty column's
+row of Z is zero, so it scores +0.0), and the best-scoring block of
+columns is averaged into a new vertex.  Only those selected columns of A
+are ever read again.
 
 Both phases work on the m columns of A that hold an entry: the factors
-keep only those rows of Z, and a round picks its block among the m live
-scores, which is exact whenever each side it compares has s live scores
-of its own sign (otherwise, as when s > m, the block is picked on the
-whole n-long row).  A round costs the O(d k + m k) scoring product,
-issued below 2^24 multiply-adds in row blocks that OpenBLAS runs on
-the calling thread (see ``sketch._rows_matmul``), the scatter of its m
-scores into its row of the k x n directions (zero-filled once per
-call, the one O(k n) cost left), a few linear scans of the m scores
-(from m = 2^14 on a strided sample fixes each side's cut, so only the
-entries past it are partitioned), and a read of the s selected columns.
+carry those columns' indices and only their rows of Z, and a round picks
+its block among the m live scores, which is exact whenever each side it
+compares has s live scores of its own sign (otherwise, as when s > m,
+the block is picked on the whole n-long row).  A round costs the
+O(d k + m k) scoring product, issued below 2^24 multiply-adds in row
+blocks that OpenBLAS runs on the calling thread (see
+``sketch._rows_matmul``), the scatter of its m scores into its row of
+the k x n directions (zero-filled once per call, the one O(k n) cost
+left), a few linear scans of the m scores (from m = 2^14 on a strided
+sample fixes each side's cut, so only the entries past it are
+partitioned), and a read of the s selected columns.
 
 The factorization reads A twice with the sketch (the sketch, then
 A^T Q; hyper-sparse input takes one more pass for Z) and twice per
@@ -221,19 +223,21 @@ def _factors(A: SparseColMatrix, cfg: LearnerConfig) -> RankKFactors:
     d, n = A.shape
     seed_fac, _ = _seeds(cfg)
     if cfg.baseline == "power_iteration":
-        res = subspace_power(A, cfg.k, default_power_iters(d), seed=seed_fac)
-        Y = res.basis
+        Y, redraws = subspace_power(A, cfg.k, default_power_iters(d), seed=seed_fac)
         live, A_live = live_columns(A)
         Z = np.asarray(A_live._scipy.T @ Y)
-        return RankKFactors(Y, Z, live, Y.shape[1], res.redraws > 0)
+        return RankKFactors(Y, Z, live, redraws > 0)
     return mixed_lra(A, cfg.k, seed=seed_fac)
 
 
 def compute_factors(A: SparseColMatrix, cfg: LearnerConfig):
-    """Factorization phase: returns (Y, Z, rank_deficient) with the n x k
+    """The factorization phase as (Y, Z, rank_deficient), with the n x k
     factor Z = A^T Y, whose row is zero for every column of A without an
     entry.
 
+    This n-row form exists for the benchmark harness, which times and
+    checks the factors apart from selection; the learner itself passes
+    ``RankKFactors``, with only the live rows of Z, to ``select_vertices``.
     Raises ``ValueError`` unless 1 <= cfg.k <= min(d, n), from the shape
     check in ``mixed_lra`` or ``subspace_power``.
     """
@@ -246,39 +250,31 @@ def compute_factors(A: SparseColMatrix, cfg: LearnerConfig):
 
 
 def select_vertices(
-    A: SparseColMatrix,
-    Y: np.ndarray,
-    Z: np.ndarray,
-    cfg: LearnerConfig,
-    live: np.ndarray | None = None,
+    A: SparseColMatrix, fac: RankKFactors, cfg: LearnerConfig
 ) -> VertexEstimates:
-    """Selection phase: k rounds of project-score-average.
+    """Selection phase: k rounds of project-score-average inside the span
+    of the factors ``fac``.
 
-    Z holds the rows of A^T Y: all n of them, as ``compute_factors``
-    returns it, or, given ``live`` (the ascending indices of the columns
-    of A that hold an entry, as ``RankKFactors`` carries them), only the
-    rows of those m columns.  Every other column scores +0.0 and its row
-    of Z is never read.  Each round's scores fill one row of the k x n
-    ``directions``; its block is picked among the m live scores when
-    that is exact (see ``_select_live``), else on the whole row.  Reads A
-    only through ``column_subset_mean`` on the selected column sets
-    (and its column pointers when ``live`` is not given); everything
-    else happens on the factors.
+    A column of A outside ``fac.live`` has a zero row of Z = A^T Y, which
+    ``fac`` does not store, so it scores +0.0.  Each round's scores fill
+    one row of the k x n ``directions``; its block is picked among the m
+    live scores when that is exact (see ``_select_live``), else on the
+    whole row.  Reads A only through ``column_subset_mean`` on the
+    selected column sets; everything else happens on the factors.  The
+    result is flagged ``rank_deficient`` when ``fac`` is, or when it has
+    fewer than cfg.k columns; a flagged run that runs out of directions
+    returns the vertices found so far.
     """
     d, n = A.shape
     s = cfg.smoothing_size(n)
     _, seed_sel = _seeds(cfg)
     rng = np.random.default_rng(seed_sel)
+    Y, Z, live = fac.Y, fac.Z, fac.live
     kf = Y.shape[1]
-    rank_deficient = kf < cfg.k
+    rank_deficient = fac.rank_deficient or kf < cfg.k
 
     vertices: list[np.ndarray] = []
     index_sets: list[np.ndarray] = []
-    if live is None:
-        live, _ = live_columns(A)
-        if live.size < n:
-            # take copies whole rows, which is faster here than Z[live]
-            Z = Z.take(live, axis=0)
     D = np.zeros((cfg.k, n))  # row t holds round t's scores
     U_t = Basis(np.zeros((d, 0)))  # orthonormal basis of the vertices found so far
     for t in range(cfg.k):
@@ -319,22 +315,19 @@ def learn_simplex(
     """Recover k vertex estimates from a sparse observation matrix.
 
     Runs the factorization phase (two or three passes over A with the
-    sketch, two per iteration with the power-iteration baseline) followed
-    by the selection phase, both on the columns of A that hold an entry;
-    deterministic given (A, cfg).  Equals ``select_vertices`` on the
-    output of ``compute_factors``, without building the n x k factor.
-    Given ``timings``, stores each phase's wall seconds in it under
-    "factorization" and "selection".
+    sketch, two per iteration with the power-iteration baseline), whose
+    ``RankKFactors`` keep only the rows of Z for the columns of A that
+    hold an entry, and hands them to ``select_vertices``; deterministic
+    given (A, cfg).  Given ``timings``, stores each phase's wall seconds
+    in it under "factorization" and "selection".
     """
     t0 = time.perf_counter()
     fac = _factors(A, cfg)
     t1 = time.perf_counter()
-    est = select_vertices(A, fac.Y, fac.Z, cfg, fac.live)
+    est = select_vertices(A, fac, cfg)
     if timings is not None:
         timings["factorization"] = t1 - t0
         timings["selection"] = time.perf_counter() - t1
-    if fac.rank_deficient and not est.rank_deficient:
-        est = VertexEstimates(est.vertices, est.index_sets, est.directions, True)
     return est
 
 

@@ -34,7 +34,6 @@ from .sparsemat import SparseColMatrix, live_columns
 __all__ = [
     "CountSketch",
     "RankKFactors",
-    "PowerIterationResult",
     "RankRestoreError",
     "make_countsketch",
     "apply_countsketch",
@@ -73,15 +72,16 @@ class RankKFactors:
     Y has orthonormal columns.  Z holds the rows of A^T Y for the m
     columns ``live`` of A that hold an entry (row i for column live[i]);
     the row of every other column is zero and is not stored, so Z costs
-    O(m k), not O(n k).  If the sketched column space cannot support the
-    requested rank, the achievable rank is returned instead and
-    ``rank_deficient`` is set.
+    O(m k), not O(n k).  This is all that passes from the factorization to
+    selection (``learner.select_vertices``).  ``rank_deficient`` is set
+    when the factorization cannot support the requested rank: the sketch
+    then returns the achievable rank, and power iteration k columns
+    completed with random directions.
     """
 
     Y: np.ndarray  # d x k, orthonormal columns
     Z: np.ndarray  # m x k
     live: np.ndarray  # the m ascending indices of the columns of A with an entry
-    k: int
     rank_deficient: bool = False
 
 
@@ -332,7 +332,7 @@ def mixed_lra(A: SparseColMatrix, k: int, seed: int = 0) -> RankKFactors:
 
     Q = _orth_columns(C)
     if Q.shape[1] == 0:
-        return RankKFactors(np.zeros((d, 0)), np.zeros((live.size, 0)), live, 0, True)
+        return RankKFactors(np.zeros((d, 0)), np.zeros((live.size, 0)), live, True)
 
     G, Wt = _projected_gram(A_live, Q, n)
     lam, vecs = _eigh(G)
@@ -341,14 +341,14 @@ def mixed_lra(A: SparseColMatrix, k: int, seed: int = 0) -> RankKFactors:
     positive = int(np.sum(lam > max(lam[0], 0.0) * len(lam) * np.finfo(float).eps))
     kk = min(k, positive)
     if kk == 0:
-        return RankKFactors(np.zeros((d, 0)), np.zeros((live.size, 0)), live, 0, True)
+        return RankKFactors(np.zeros((d, 0)), np.zeros((live.size, 0)), live, True)
     # contiguous: numpy's OpenBLAS threads the m x r by r x kk product when
     # V is a strided view, and its idle workers then spin on the second core
     V = np.ascontiguousarray(vecs[:, :kk])
     Y = Q @ V
     # Z^T = Y^T A, so B = Y Z^T projects A onto span(Y); A^T Y = (A^T Q) V
     Z = Wt @ V if Wt is not None else np.asarray(A_live._scipy.T @ Y)
-    return RankKFactors(Y, Z, live, kk, kk < k)
+    return RankKFactors(Y, Z, live, kk < k)
 
 
 def _squared_singular_values(A: SparseColMatrix) -> np.ndarray:
@@ -395,18 +395,6 @@ def singular_values(A: SparseColMatrix) -> np.ndarray:
     return np.sqrt(_squared_singular_values(A))
 
 
-@dataclass(frozen=True)
-class PowerIterationResult:
-    """Output of the subspace power method.
-
-    ``redraws`` counts rank-deficiency repairs.
-    """
-
-    basis: np.ndarray  # d x k, orthonormal columns
-    redraws: int
-    iterates: list[np.ndarray] | None = None
-
-
 def default_power_iters(d: int) -> int:
     """Iteration budget 3 ceil(ln d), at least 3, of the power-iteration
     baseline: O(log d) steps, as the paper runs it."""
@@ -414,18 +402,18 @@ def default_power_iters(d: int) -> int:
 
 
 def subspace_power(
-    A: SparseColMatrix,
-    k: int,
-    T: int,
-    seed: int = 0,
-    keep_iterates: bool = False,
-) -> PowerIterationResult:
+    A: SparseColMatrix, k: int, T: int, seed: int = 0
+) -> tuple[np.ndarray, int]:
     """Orthogonal iteration Q <- orth(A A^T Q) for the top-k left subspace.
 
-    Each iteration costs O(nnz(A) * k) plus a QR of a d x k
-    block.  Rank-deficient iterates are repaired by re-randomizing the
-    dropped directions.  It runs exactly T iterations and reports no
-    convergence verdict.
+    Returns (Q, redraws): the d x k orthonormal basis after exactly T
+    iterations, and the count of rank-deficiency repairs.  Each iteration
+    costs O(nnz(A) * k) plus a QR of a d x k block.  A rank-deficient
+    iterate is repaired by replacing its collapsed directions with fresh
+    random draws; ``RankRestoreError`` is raised when six redraws of one
+    iterate leave it rank-deficient.  The loop is deterministic given its
+    arguments, so the basis after t iterations is the t-th iterate of
+    any longer run with the same seed.  There is no convergence verdict.
     """
     d, n = A.shape
     if not 1 <= k <= min(d, n):
@@ -435,32 +423,25 @@ def subspace_power(
     rng = np.random.default_rng(seed)
     M = A._scipy
     Q = np.linalg.qr(rng.standard_normal((d, k)))[0]
-    iterates = [Q] if keep_iterates else None
     redraws = 0
     for _ in range(T):
         Z = np.asarray(M @ (M.T @ Q))
         Qn = _cholqr2(Z)
         if Qn is None:
             # rank-deficient iterate: repair via Householder QR, replacing
-            # the collapsed directions with fresh random draws
-            Qn, R = np.linalg.qr(Z)
-            diag = np.abs(np.diag(R))
-            bad = diag <= max(d, k) * np.finfo(float).eps * (
-                diag.max() if diag.max() > 0 else 1.0
-            )
-            tries = 0
-            while np.any(bad):
-                Z[:, bad] = rng.standard_normal((d, int(bad.sum())))
+            # the collapsed directions with fresh random draws, six at most
+            for _ in range(6):
                 Qn, R = np.linalg.qr(Z)
                 diag = np.abs(np.diag(R))
-                bad = diag <= max(d, k) * np.finfo(float).eps * diag.max()
+                scale = diag.max() if diag.max() > 0 else 1.0
+                bad = diag <= max(d, k) * np.finfo(float).eps * scale
+                if not bad.any():
+                    break
+                Z[:, bad] = rng.standard_normal((d, int(bad.sum())))
                 redraws += 1
-                tries += 1
-                if tries > 5:
-                    raise RankRestoreError(
-                        "subspace power iteration could not restore full rank"
-                    )
+            else:
+                raise RankRestoreError(
+                    "subspace power iteration could not restore full rank"
+                )
         Q = Qn
-        if keep_iterates:
-            iterates.append(Q)
-    return PowerIterationResult(Q, redraws, iterates)
+    return Q, redraws

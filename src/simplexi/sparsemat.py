@@ -323,9 +323,8 @@ def parse_edge_list(
     num_edges = int(u.size)
 
     if mode == "square":
-        remap = {int(x): i for i, x in enumerate(ids)}
-        ui = np.asarray([remap[int(x)] for x in u], dtype=np.int64)
-        vi = np.asarray([remap[int(x)] for x in v], dtype=np.int64)
+        ui = np.searchsorted(ids, u)
+        vi = np.searchsorted(ids, v)
         rows = np.concatenate([ui, vi])
         cols = np.concatenate([vi, ui])
         pairs = np.unique(np.stack([rows, cols], axis=1), axis=0)
@@ -343,25 +342,20 @@ def parse_edge_list(
                 f"bipartite split needs at least d+n={d + n} nodes, observed {num_nodes}"
             )
         rng = np.random.default_rng(seed)
-        shuffled = ids[rng.permutation(num_nodes)]
-        row_of = {int(x): i for i, x in enumerate(shuffled[:d])}
-        col_of = {int(x): j for j, x in enumerate(shuffled[d : d + n])}
-        rr, cc = [], []
-        for a, b in zip(u, v):
-            a, b = int(a), int(b)
-            if a in row_of and b in col_of:
-                rr.append(row_of[a])
-                cc.append(col_of[b])
-            if b in row_of and a in col_of:
-                rr.append(row_of[b])
-                cc.append(col_of[a])
-        if rr:
-            pairs = np.unique(np.stack([rr, cc], axis=1), axis=0)
-            m = sp.coo_array(
-                (np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])), shape=(d, n)
-            )
-        else:
-            m = sp.csc_array((d, n))
+        # slot[i] is the place of node ids[i] in the shuffled order: rows
+        # take slots [0, d), columns [d, d + n)
+        slot = np.empty(num_nodes, dtype=np.int64)
+        slot[rng.permutation(num_nodes)] = np.arange(num_nodes)
+        su = slot[np.searchsorted(ids, u)]
+        sv = slot[np.searchsorted(ids, v)]
+        forward = (su < d) & (sv >= d) & (sv < d + n)
+        backward = (sv < d) & (su >= d) & (su < d + n)
+        rows = np.concatenate([su[forward], sv[backward]])
+        cols = np.concatenate([sv[forward], su[backward]]) - d
+        pairs = np.unique(np.stack([rows, cols], axis=1), axis=0)
+        m = sp.coo_array(
+            (np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])), shape=(d, n)
+        )
         return ParsedEdgeList(from_scipy(m), num_nodes, num_edges)
 
     raise ValueError(f"unknown mode {mode!r}")

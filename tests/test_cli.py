@@ -491,9 +491,9 @@ class TestLearnAndEval:
         rows = []
         real = learner_mod.select_vertices
 
-        def spy(A, Y, Z, cfg, live=None):
-            rows.append(Z.shape[0])
-            return real(A, Y, Z, cfg, live)
+        def spy(A, fac, cfg):
+            rows.append(fac.Z.shape[0])
+            return real(A, fac, cfg)
 
         monkeypatch.setattr(learner_mod, "select_vertices", spy)
         out = tmp_path / "learned"

@@ -26,10 +26,11 @@ from simplexi.learner import (
 )
 from simplexi.metrics import match_vertices
 from simplexi.models import gen_bernoulli
-from simplexi.sparsemat import column_subset_mean
+from simplexi.sketch import RankKFactors
+from simplexi.sparsemat import column_subset_mean, live_columns
 from simplexi.subspace import Basis, extend_basis, project_out
 
-from conftest import dense_to_csc, duplicated_vertex_instance, random_sparse
+from conftest import dense_to_csc, duplicated_vertex_instance, full_Z, random_sparse
 
 
 class TestSelectIndices:
@@ -392,7 +393,7 @@ class TestSelectionReadsOnlySelectedColumns:
         the column averages of the selected index sets."""
         A = random_sparse(25, 400, 0.08, seed=6)
         cfg = LearnerConfig(k=3, delta=0.05, seed=2)
-        Y, Z, _ = compute_factors(A, cfg)
+        fac = learner_mod._factors(A, cfg)
 
         touched: list[np.ndarray] = []
         real_mean = column_subset_mean
@@ -407,7 +408,7 @@ class TestSelectionReadsOnlySelectedColumns:
         monkeypatch.setattr(learner_mod, "column_subset_mean", counting_mean)
         monkeypatch.setattr(learner_mod, "mixed_lra", forbidden)
         monkeypatch.setattr(learner_mod, "subspace_power", forbidden)
-        est = select_vertices(A, Y, Z, cfg)
+        est = select_vertices(A, fac, cfg)
 
         assert len(touched) == 3
         seen = np.concatenate(touched)
@@ -470,16 +471,16 @@ def _with_empty_columns(d, n, m, rank, seed):
     return dense_to_csc(dense)
 
 
-def _selection_or_error(A, Y, Z, cfg, select):
+def _selection_or_error(select, *args):
     try:
-        return select(A, Y, Z, cfg)
+        return select(*args)
     except LearnerError:
         return None
 
 
 class TestLiveColumnScoring:
     """Selection scores only the columns that hold an entry; the others
-    score +0.0 without their rows of Z being read."""
+    score +0.0, and the factors hold no row of Z for them."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -506,12 +507,14 @@ class TestLiveColumnScoring:
         cfg = LearnerConfig(k=k, delta=min(1.0, (s + 0.5) / n), seed=seed % 1000,
                             selection_mode=mode)
         assert cfg.smoothing_size(n) == s
-        Y, Z, _ = compute_factors(A, cfg)
+        fac = learner_mod._factors(A, cfg)
         empty = A.column_nnz() == 0
-        assert empty.sum() == n - m and np.all(Z[empty] == 0.0)
+        assert empty.sum() == n - m
+        np.testing.assert_array_equal(fac.live, np.flatnonzero(~empty))
+        assert fac.Z.shape == (m, fac.Y.shape[1])
 
-        est = _selection_or_error(A, Y, Z, cfg, select_vertices)
-        ref = _selection_or_error(A, Y, Z, cfg, reference_select_vertices)
+        est = _selection_or_error(select_vertices, A, fac, cfg)
+        ref = _selection_or_error(reference_select_vertices, A, fac.Y, full_Z(fac, n), cfg)
         assert (est is None) == (ref is None)
         if est is None:
             return
@@ -527,14 +530,6 @@ class TestLiveColumnScoring:
             assert np.all(np.abs(u - u_ref) <= 1e-15 * np.abs(u_ref).max())
             assert np.all(u[empty] == 0.0) and not np.signbit(u[empty]).any()
 
-        poisoned = Z.copy()
-        poisoned[empty] = np.nan
-        again = select_vertices(A, Y, poisoned, cfg)
-        assert np.array_equal(again.vertices, est.vertices)
-        assert np.array_equal(again.directions, est.directions)
-        for R, R_est in zip(again.index_sets, est.index_sets):
-            np.testing.assert_array_equal(R, R_est)
-
     @pytest.mark.parametrize("d, n, density", [(20, 301, 1.0), (30, 1003, 0.3)])
     def test_no_empty_column_is_bit_identical(self, d, n, density):
         rng = np.random.default_rng(n)
@@ -542,9 +537,10 @@ class TestLiveColumnScoring:
         dense[0] = np.where(dense[0] == 0.0, 0.5, dense[0])  # every column holds an entry
         A = dense_to_csc(dense)
         cfg = LearnerConfig(k=4, delta=0.05, seed=11)
-        Y, Z, _ = compute_factors(A, cfg)
-        est = select_vertices(A, Y, Z, cfg)
-        ref = reference_select_vertices(A, Y, Z, cfg)
+        fac = learner_mod._factors(A, cfg)
+        assert fac.live.size == n
+        est = select_vertices(A, fac, cfg)
+        ref = reference_select_vertices(A, fac.Y, fac.Z, cfg)
         assert np.array_equal(est.vertices, ref.vertices)
         assert np.array_equal(est.directions, ref.directions)
         for R, R_ref in zip(est.index_sets, ref.index_sets):
@@ -671,18 +667,14 @@ class TestLiveSelection:
             assert row_sizes.count(n) == whole_rows
         Y, Z, _ = compute_factors(A, cfg)
         assert Z.shape == (n, k)
-        via_n_rows = select_vertices(A, Y, Z, cfg)
-        full_row = reference_select_vertices(A, Y, Z, cfg)
-        for ref in (via_n_rows, full_row):
-            assert np.array_equal(est.vertices, ref.vertices)
-            assert len(est.index_sets) == len(ref.index_sets)
-            for R, R_ref in zip(est.index_sets, ref.index_sets):
-                assert np.array_equal(R, R_ref)
-        # select_vertices scores the same live rows of Z with the same product;
+        ref = reference_select_vertices(A, Y, Z, cfg)
+        assert np.array_equal(est.vertices, ref.vertices)
+        assert len(est.index_sets) == len(ref.index_sets)
+        for R, R_ref in zip(est.index_sets, ref.index_sets):
+            assert np.array_equal(R, R_ref)
         # the product over all n rows may round its last rows differently
-        assert np.array_equal(est.directions, via_n_rows.directions)
-        scale = np.abs(full_row.directions).max()
-        assert np.all(np.abs(est.directions - full_row.directions) <= 1e-15 * scale)
+        scale = np.abs(ref.directions).max()
+        assert np.all(np.abs(est.directions - ref.directions) <= 1e-15 * scale)
 
     def test_no_empty_column_takes_no_copy(self, monkeypatch):
         class Uncopied(np.ndarray):
@@ -733,10 +725,10 @@ class TestDegenerateInputs:
     def test_zero_factors_raise_diagnostic(self):
         A = random_sparse(10, 50, 0.2, seed=1)
         cfg = LearnerConfig(k=2, delta=0.1, seed=0)
-        Y = np.zeros((10, 2))
-        Z = np.zeros((50, 2))
+        live, _ = live_columns(A)
+        fac = RankKFactors(np.zeros((10, 2)), np.zeros((live.size, 2)), live)
         with pytest.raises(LearnerError, match="redraws"):
-            select_vertices(A, Y, Z, cfg)
+            select_vertices(A, fac, cfg)
 
     def test_k_larger_than_matrix(self):
         A = random_sparse(3, 50, 0.3, seed=1)

@@ -371,6 +371,22 @@ class TestSpectralNormEst:
         assert _norm(A, seed=5) == _norm(A, seed=5)
 
 
+def _bipartite_reference(edges, d, n, seed):
+    """The bipartite split edge by edge: the sorted node ids are shuffled
+    with ``seed``, the first d become rows and the next n columns."""
+    ids = sorted({int(x) for x in edges.ravel()})
+    shuffled = [ids[i] for i in np.random.default_rng(seed).permutation(len(ids))]
+    row_of = {x: i for i, x in enumerate(shuffled[:d])}
+    col_of = {x: j for j, x in enumerate(shuffled[d : d + n])}
+    D = np.zeros((d, n))
+    for a, b in edges.tolist():
+        if a in row_of and b in col_of:
+            D[row_of[a], col_of[b]] = 1.0
+        if b in row_of and a in col_of:
+            D[row_of[b], col_of[a]] = 1.0
+    return D
+
+
 class TestParseEdgeList:
     def test_two_undirected_edges(self):
         res = parse_edge_list("0 1\n1 2\n", mode="square")
@@ -404,6 +420,24 @@ class TestParseEdgeList:
         b = parse_edge_list(text, mode="bipartite", d=4, n=6, seed=3)
         assert a.matrix.shape == (4, 6)
         np.testing.assert_array_equal(a.matrix.toarray(), b.matrix.toarray())
+
+    @pytest.mark.parametrize("d, n", [(300, 600), (500, 505), (10, 20)])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_bipartite_split_matches_per_edge_loop(self, email_fixture_path, d, n, seed):
+        edges = np.loadtxt(email_fixture_path, dtype=np.int64, comments="#")
+        with open(email_fixture_path) as f:
+            res = parse_edge_list(f, mode="bipartite", d=d, n=n, seed=seed)
+        np.testing.assert_array_equal(res.matrix.toarray(),
+                                      _bipartite_reference(edges, d, n, seed))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bipartite_split_of_few_edges(self, seed):
+        # at some seeds no edge crosses the split, and the matrix is empty
+        edges = np.array([[0, 1], [2, 3]])
+        res = parse_edge_list("0 1\n2 3\n", mode="bipartite", d=1, n=1, seed=seed)
+        assert res.matrix.shape == (1, 1)
+        np.testing.assert_array_equal(res.matrix.toarray(),
+                                      _bipartite_reference(edges, 1, 1, seed))
 
     def test_bipartite_too_few_nodes(self):
         with pytest.raises(ValueError, match="at least"):
