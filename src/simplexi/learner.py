@@ -14,9 +14,7 @@ carry those columns' indices and only their rows of Z, and a round picks
 its block among the m live scores, which is exact whenever each side it
 compares has s live scores of its own sign (otherwise, as when s > m,
 the block is picked on the whole n-long row).  A round costs the
-O(d k + m k) scoring product, issued below 2^24 multiply-adds in row
-blocks that OpenBLAS runs on the calling thread (see
-``sketch._rows_matmul``), the scatter of its m scores into its row of
+O(d k + m k) scoring product, the scatter of its m scores into its row of
 the k x n directions (zero-filled once per call, the one O(k n) cost
 left), a few linear scans of the m scores (from m = 2^14 on a strided
 sample fixes each side's cut, so only the entries past it are
@@ -25,11 +23,20 @@ partitioned), and a read of the s selected columns.
 The factorization reads A twice with the sketch (the sketch, then
 A^T Q; hyper-sparse input takes one more pass for Z) and twice per
 iteration with the power-iteration baseline.
+
+Both phases run with numpy's and scipy's bundled OpenBLAS set to one
+thread (``_one_blas_thread``); on another BLAS that switch does nothing.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+import ctypes
 from dataclasses import dataclass
+from functools import cache
+import glob
+import os
+import threading
 import time
 from typing import TextIO
 
@@ -37,7 +44,6 @@ import numpy as np
 
 from .sketch import (
     RankKFactors,
-    _rows_matmul,
     default_power_iters,
     mixed_lra,
     subspace_power,
@@ -212,11 +218,63 @@ def _select_live(row: np.ndarray, u: np.ndarray, live: np.ndarray, s: int,
     return select_indices(row, s, mode)
 
 
+@cache
+def _openblas_thread_setters() -> tuple:
+    """``openblas_set_num_threads_local`` of each OpenBLAS copy bundled
+    with numpy and scipy (``numpy.libs``, ``scipy.libs``), loaded once; a
+    copy without it, or a build that bundles none, adds nothing."""
+    import scipy
+
+    setters = []
+    for package in (np, scipy):
+        for path in glob.glob(os.path.dirname(package.__file__) + ".libs/*openblas*"):
+            try:
+                setters.append(ctypes.CDLL(path).openblas_set_num_threads_local)
+            except (OSError, AttributeError):
+                pass
+    return tuple(setters)
+
+
+_pin_lock = threading.Lock()
+_pin_depth = 0  # learner calls now inside _one_blas_thread
+_pin_saved: list[int] = []  # each copy's thread count before the outermost one
+
+
+@contextmanager
+def _one_blas_thread():
+    """Set every bundled OpenBLAS copy to one thread for the block (or
+    the decorated call), then restore each copy's previous count.
+
+    A threaded call leaves its idle worker spinning on another core for
+    about 0.15 s, through every single-threaded step that follows, and
+    the rounding of a product can depend on the thread count.  Despite
+    its name, ``openblas_set_num_threads_local`` sets the count of the
+    whole process, so overlapping calls from several threads share one
+    switch: the first sets it, the last to leave restores it, and
+    meanwhile every BLAS call in the process runs on one thread.  Where
+    no copy is found (another BLAS), this does nothing.
+    """
+    global _pin_depth
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved[:] = [set_threads(1) for set_threads in _openblas_thread_setters()]
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                for set_threads, count in zip(_openblas_thread_setters(), _pin_saved):
+                    set_threads(count)
+
+
 def _seeds(cfg: LearnerConfig) -> tuple[int, int]:
     s = np.random.SeedSequence(cfg.seed).generate_state(2)
     return int(s[0]), int(s[1])
 
 
+@_one_blas_thread()
 def _factors(A: SparseColMatrix, cfg: LearnerConfig) -> RankKFactors:
     """Factorization phase, with Z kept to the rows of the columns of A
     that hold an entry (see ``RankKFactors``)."""
@@ -249,6 +307,7 @@ def compute_factors(A: SparseColMatrix, cfg: LearnerConfig):
     return fac.Y, Z, fac.rank_deficient
 
 
+@_one_blas_thread()
 def select_vertices(
     A: SparseColMatrix, fac: RankKFactors, cfg: LearnerConfig
 ) -> VertexEstimates:
@@ -299,7 +358,7 @@ def select_vertices(
                 f"{len(vertices)} selected vertices after {_REDRAW_LIMIT} redraws"
             )
         h_prime = h_prime / np.linalg.norm(h_prime)
-        u = _rows_matmul(Z, h_prime @ Y)  # O((d + m) k) per round
+        u = Z @ (h_prime @ Y)  # O((d + m) k) per round
         D[t][live] = u  # the row view's scatter is faster than D[t, live]
         R_t = _select_live(D[t], u, live, s, cfg.selection_mode)
         vertices.append(column_subset_mean(A, R_t))
@@ -318,8 +377,11 @@ def learn_simplex(
     sketch, two per iteration with the power-iteration baseline), whose
     ``RankKFactors`` keep only the rows of Z for the columns of A that
     hold an entry, and hands them to ``select_vertices``; deterministic
-    given (A, cfg).  Given ``timings``, stores each phase's wall seconds
-    in it under "factorization" and "selection".
+    given (A, cfg).  Where numpy's and scipy's bundled OpenBLAS are
+    found, both phases run on one BLAS thread and the outputs do not
+    depend on the thread count; on another BLAS they may.  Given
+    ``timings``, stores each phase's wall seconds in it under
+    "factorization" and "selection".
     """
     t0 = time.perf_counter()
     fac = _factors(A, cfg)

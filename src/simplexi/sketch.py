@@ -11,15 +11,13 @@ sparse product A S exactly, and once, at nnz times the working rank,
 for the projected Gram matrix, whose m x r product also yields the Z
 factor.  Both passes, and every product after the sketch draw, run on
 the m columns of A that hold an entry, so an empty column costs a scan
-of its column pointer and one bucket draw.  Below 2^24 multiply-adds
-the compression and, up to working rank 64, the Cholesky QR products
-are issued in row blocks, and the r x r eigenproblem for 26 <= r <= 64
-goes to scipy's LAPACK, in shapes that OpenBLAS runs on the calling
-thread: a threaded call leaves its idle worker spinning on another
-core for about 0.15 s.  The exact dense singular values live here too,
-as the oracle for the top-k mass assumption and the rank-k tail budget
-of the reduction check, together with the classical subspace power
-iteration used as the comparison baseline.
+of its column pointer and one bucket draw.  Each dense product is one
+BLAS call: the learner runs them with OpenBLAS on one thread (see
+``learner._one_blas_thread``); called directly, or on another BLAS,
+they use the threads that BLAS chooses.  The exact dense singular
+values live here too, as the oracle for the top-k mass assumption and
+the rank-k tail budget of the reduction check, together with the
+classical subspace power iteration used as the comparison baseline.
 """
 
 from __future__ import annotations
@@ -46,8 +44,6 @@ __all__ = [
 
 DENSE_ORACLE_LIMIT = 4000  # refuse the exact SVD when min(d, n) exceeds this
 _BLOCK_ENTRIES = 1 << 18  # entries of A per CountSketch scatter block
-_ROW_BLOCK_MADDS = 1 << 18  # multiply-adds per row block of a small dense product
-_THREADED_MADDS = 1 << 24  # from here a dense product is one call (see _rows_matmul)
 
 
 class RankRestoreError(RuntimeError):
@@ -135,65 +131,6 @@ def apply_countsketch(A: SparseColMatrix, S: CountSketch) -> np.ndarray:
     return out.reshape(c, d).T
 
 
-def _rows_matmul(X: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """X @ B for a 2-D X and a 1-D or 2-D B.
-
-    OpenBLAS threads a gemv from about 460 000 elements and a gemm from
-    about a million multiply-adds, and after a threaded call its idle
-    worker spins on the second core for about 0.15 s, through every
-    single-threaded step that follows.  Below 2^24 multiply-adds the
-    product is therefore issued as row blocks of at most 2^18
-    multiply-adds each, which OpenBLAS runs on the calling thread; from
-    2^24 on it is one call.  That cut rests on two gemm shapes: the
-    sparse learner's 1000 x 256 x 32 compression runs split, and the
-    dense learner's 2000 x 1024 x 64 compression (2^27 multiply-adds)
-    took 6.6 ms as one call on two threads against 9.4 ms on one.  It
-    was not measured for a gemv, which is memory-bound and already runs
-    about twice as fast on two threads at 580 000 elements, so a score
-    gemv between about 460 000 and 2^24 elements runs split at about
-    twice the wall time of one threaded call.  Blocks
-    hold a multiple of 8 rows where they can, so they end where the one
-    call's kernel groups end and a gemv gives the one call's bits; a gemm
-    on a block small enough for OpenBLAS's small-matrix kernel can round
-    its last bits otherwise.  When one block covers X, X is passed as it
-    is, without a slice.
-    """
-    m = X.shape[0]
-    width = X.shape[1] * (B.shape[1] if B.ndim == 2 else 1)
-    rows = _ROW_BLOCK_MADDS // max(width, 1)
-    if rows >= m or m * width >= _THREADED_MADDS:
-        return X @ B
-    if rows >= 8:
-        rows -= rows % 8
-    rows = max(rows, 1)
-    out = np.empty((m,) + B.shape[1:], dtype=np.result_type(X, B))
-    for i in range(0, m, rows):
-        np.matmul(X[i:i + rows], B, out=out[i:i + rows])
-    return out
-
-
-def _eigh(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh(G)`` for a symmetric r x r G, ascending.
-
-    numpy's eigh threads from r = 26, where LAPACK switches to divide and
-    conquer, and scipy's dsyevd only from about r = 80; both run that
-    same LAPACK routine on the lower triangle and give the same bits.
-    For 26 <= r <= 64 scipy's is called, so the eigenproblem stays on the
-    calling thread.  Below that numpy's does not thread, and scipy's
-    first call would touch its OpenBLAS's buffer (the CLI's k = 3 run
-    peaked 0.8 MB higher); above it, scipy's would thread too, and the
-    workers of the two libraries' OpenBLAS copies would spin at once.
-    """
-    if not 26 <= G.shape[0] <= 64:
-        return np.linalg.eigh(G)
-    from scipy.linalg.lapack import dsyevd
-
-    lam, vecs, info = dsyevd(G, compute_v=1, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dsyevd failed with info={info}")
-    return lam, vecs
-
-
 def _cholqr2(X: np.ndarray) -> np.ndarray | None:
     """Two-pass Cholesky QR for well-conditioned tall blocks.
 
@@ -203,14 +140,9 @@ def _cholqr2(X: np.ndarray) -> np.ndarray | None:
     back to a rank-revealing factorization.
 
     Each pass multiplies X by the inverse of the small triangular factor
-    (LAPACK ``trtri``) rather than solving against X: scipy's OpenBLAS
-    threads a triangular solve of any size, even 9 x 9, and its idle
-    workers then spin on the second core while the caller's next
-    single-threaded stage runs.  For the same reason the product with
-    the inverse is issued through ``_rows_matmul`` up to 64 columns,
-    where ``_eigh`` keeps the caller's eigenproblem on one thread too;
-    past that the eigenproblem threads anyway and the product is one
-    call.
+    (LAPACK ``trtri``) rather than solving against X: a triangular solve
+    rounds differently, and would move the last bits of every output
+    built on this basis.
     """
     from scipy.linalg.lapack import dtrtri
 
@@ -223,7 +155,7 @@ def _cholqr2(X: np.ndarray) -> np.ndarray | None:
         L_inv, info = dtrtri(L, lower=1)
         if info != 0:
             return None
-        X = _rows_matmul(X, L_inv.T) if X.shape[1] <= 64 else X @ L_inv.T
+        X = X @ L_inv.T
         if attempt == 1 and np.abs(G - np.eye(G.shape[0])).max() > 1e-4:
             return None  # first pass too degraded for the correction
     return np.ascontiguousarray(X)
@@ -269,8 +201,9 @@ def _projected_gram(
     d = A.rows
     if d <= 4096 and pair_count < stream_flops and pair_count < 0.25 * d * d:
         AAt = A._scipy @ A._scipy.T
-        # not Q.T @ (...): BLAS splits that d-long sum across threads, so its
-        # rounding would depend on the thread count
+        # not Q.T @ (...): that rounds differently, and where BLAS is left
+        # threaded (mixed_lra called directly) it may split the d-long sum
+        # across threads, so its rounding would depend on the thread count
         G = np.einsum("ij,ik->jk", Q, AAt @ Q)
         Wt = None
     else:
@@ -306,13 +239,12 @@ def mixed_lra(A: SparseColMatrix, k: int, seed: int = 0) -> RankKFactors:
     eigenvectors is Z on that route.  On the d x d Gram route used for
     hyper-sparse input, Z takes one more sparse pass.
 
-    The compression goes through ``_rows_matmul``, which keeps it on the
-    calling thread below 2^24 multiply-adds; up to r = 64 the Cholesky
-    QR products do too, and ``_eigh`` keeps the eigenproblem there from
-    r = 26, where numpy's would thread.  The Gram products and the
-    products with the eigenvectors stay single calls: at d = 1000,
-    k = 16 OpenBLAS runs them on one thread too, but at larger m r^2 or
-    d r^2 they thread.
+    Every dense product and the eigenproblem are single BLAS and LAPACK
+    calls.  ``learn_simplex`` runs this function with numpy's and
+    scipy's OpenBLAS set to one thread, so there its outputs do not
+    depend on the thread count.  Called directly, or on another BLAS,
+    the compression, the Cholesky QR products and the eigenproblem may
+    thread, and their last bits can then depend on the thread count.
     """
     d, n = A.shape
     if not 1 <= k <= min(d, n):
@@ -328,23 +260,21 @@ def mixed_lra(A: SparseColMatrix, k: int, seed: int = 0) -> RankKFactors:
     q_cap = max(2 * k, k + 10)
     if min(d, c) > q_cap:
         # range compression to the working rank
-        C = _rows_matmul(C, np.random.default_rng(int(s2)).standard_normal((c, q_cap)))
+        C = C @ np.random.default_rng(int(s2)).standard_normal((c, q_cap))
 
     Q = _orth_columns(C)
     if Q.shape[1] == 0:
         return RankKFactors(np.zeros((d, 0)), np.zeros((live.size, 0)), live, True)
 
     G, Wt = _projected_gram(A_live, Q, n)
-    lam, vecs = _eigh(G)
+    lam, vecs = np.linalg.eigh(G)
     order = np.argsort(lam)[::-1]
     lam, vecs = lam[order], vecs[:, order]
     positive = int(np.sum(lam > max(lam[0], 0.0) * len(lam) * np.finfo(float).eps))
     kk = min(k, positive)
     if kk == 0:
         return RankKFactors(np.zeros((d, 0)), np.zeros((live.size, 0)), live, True)
-    # contiguous: numpy's OpenBLAS threads the m x r by r x kk product when
-    # V is a strided view, and its idle workers then spin on the second core
-    V = np.ascontiguousarray(vecs[:, :kk])
+    V = vecs[:, :kk]
     Y = Q @ V
     # Z^T = Y^T A, so B = Y Z^T projects A onto span(Y); A^T Y = (A^T Q) V
     Z = Wt @ V if Wt is not None else np.asarray(A_live._scipy.T @ Y)

@@ -293,6 +293,18 @@ def _iter_edge_lines(source: Union[str, TextIO, Iterable[str]]):
         yield u, v
 
 
+def _ones_at(rows: np.ndarray, cols: np.ndarray, d: int, n: int) -> SparseColMatrix:
+    """The d x n 0/1 matrix with a 1 at each distinct (rows[i], cols[i]).
+
+    The pairs are deduplicated as one int64 key row * n + col, which
+    sorts them in (row, col) order, as a row-wise unique of the pairs
+    would, at a fraction of its cost.
+    """
+    key = np.unique(rows * n + cols)
+    r, c = np.divmod(key, n)
+    return from_scipy(sp.coo_array((np.ones(key.size), (r, c)), shape=(d, n)))
+
+
 def parse_edge_list(
     source: Union[str, TextIO, Iterable[str]],
     mode: str = "square",
@@ -327,12 +339,8 @@ def parse_edge_list(
         vi = np.searchsorted(ids, v)
         rows = np.concatenate([ui, vi])
         cols = np.concatenate([vi, ui])
-        pairs = np.unique(np.stack([rows, cols], axis=1), axis=0)
-        m = sp.coo_array(
-            (np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])),
-            shape=(num_nodes, num_nodes),
-        )
-        return ParsedEdgeList(from_scipy(m), num_nodes, num_edges)
+        A = _ones_at(rows, cols, num_nodes, num_nodes)
+        return ParsedEdgeList(A, num_nodes, num_edges)
 
     if mode == "bipartite":
         if d is None or n is None:
@@ -352,11 +360,7 @@ def parse_edge_list(
         backward = (sv < d) & (su >= d) & (su < d + n)
         rows = np.concatenate([su[forward], sv[backward]])
         cols = np.concatenate([sv[forward], su[backward]]) - d
-        pairs = np.unique(np.stack([rows, cols], axis=1), axis=0)
-        m = sp.coo_array(
-            (np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])), shape=(d, n)
-        )
-        return ParsedEdgeList(from_scipy(m), num_nodes, num_edges)
+        return ParsedEdgeList(_ones_at(rows, cols, d, n), num_nodes, num_edges)
 
     raise ValueError(f"unknown mode {mode!r}")
 

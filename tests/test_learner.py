@@ -314,7 +314,9 @@ class TestDeterminismAndConsistency:
         # remainder rows; the fifth is the second under the power-iteration
         # baseline; in the sixth, 31 columns hold an entry and s = 200, so
         # every round picks its block on the whole row; the seventh has
-        # working rank 26, the smallest eigenproblem that goes to scipy
+        # working rank 26, the smallest eigenproblem numpy's eigh threads;
+        # the eighth is criterion 6's shape at k = 50, whose rounding moved
+        # with the thread count while the learner left OpenBLAS threaded
         script = textwrap.dedent("""
             import hashlib
             import numpy as np
@@ -323,7 +325,7 @@ class TestDeterminismAndConsistency:
                 (300, 3000, 0.05, 8, "sketch"), (1000, 20000, 2e-4, 16, "sketch"),
                 (200, 70000, 5e-4, 4, "sketch"), (500, 30001, 3e-4, 6, "sketch"),
                 (1000, 20000, 2e-4, 16, "power_iteration"), (100, 20000, 2e-5, 3, "sketch"),
-                (1000, 50000, 5e-4, 13, "sketch"),
+                (1000, 50000, 5e-4, 13, "sketch"), (1000, 50000, 1 / 2000, 50, "sketch"),
             ):
                 A = gen_bernoulli(d, n, p, 4)
                 cfg = LearnerConfig(k=k, delta=0.01, seed=3, baseline=baseline)
@@ -334,28 +336,95 @@ class TestDeterminismAndConsistency:
                 print(h.hexdigest())
         """)
         digests = [_run_script(script, threads).split() for threads in ("1", "2")]
-        assert [len(x) for x in digests[0]] == [64] * 7
+        assert [len(x) for x in digests[0]] == [64] * 8
         assert digests[0] == digests[1]
 
 
 class TestSingleBlasThread:
+    # after a threaded BLAS call OpenBLAS's idle worker spins on a second
+    # core for about 0.15 s, longer than one of these calls, so a single
+    # threaded call per call of learn_simplex doubles its CPU time
+
     def test_sparse_learner_keeps_one_core_busy(self):
-        # after a threaded BLAS call OpenBLAS's idle worker spins on a second
-        # core for about 0.15 s, longer than one of these calls, so a single
-        # threaded call per call of learn_simplex doubles its CPU time
-        script = textwrap.dedent("""
-            import time
-            from simplexi import LearnerConfig, gen_bernoulli, learn_simplex
-            A = gen_bernoulli(1000, 200_000, 1 / 5000, 4)
-            learn_simplex(A, LearnerConfig(k=16, delta=1e-3, seed=0))
-            time.sleep(0.3)  # a worker the generator woke goes idle
-            wall, cpu = time.perf_counter(), time.process_time()
-            for seed in range(20):
-                learn_simplex(A, LearnerConfig(k=16, delta=1e-3, seed=seed))
-            print(time.process_time() - cpu, time.perf_counter() - wall)
-        """)
-        cpu, wall = map(float, _run_script(script, "2").split())
+        cpu, wall = _learner_cpu_and_wall(1000, 200_000, 1 / 5000, 16, 1e-3)
         assert cpu <= 1.3 * wall, (cpu, wall)
+
+    def test_dense_learner_keeps_one_core_busy(self):
+        # here OpenBLAS would thread the compression, the Cholesky QR
+        # products and the eigenproblem
+        cpu, wall = _learner_cpu_and_wall(2000, 10_000, 0.1, 32, 2e-3)
+        assert cpu <= 1.3 * wall, (cpu, wall)
+
+    def test_learner_restores_the_callers_thread_count(self):
+        # once after one call, once after calls overlapping in four threads;
+        # each read sets the count back to 2 and returns the count it found
+        script = textwrap.dedent("""
+            import sys
+            import threading
+            from simplexi import LearnerConfig, gen_bernoulli, learn_simplex
+            from simplexi.learner import _openblas_thread_setters
+            setters = _openblas_thread_setters()
+            for set_threads in setters:
+                set_threads(2)
+            A = gen_bernoulli(300, 3000, 0.05, 4)
+            learn_simplex(A, LearnerConfig(k=8, delta=0.01))
+            print(*[set_threads(2) for set_threads in setters])
+
+            def work(seed):
+                for i in range(10):
+                    learn_simplex(A, LearnerConfig(k=8, delta=0.01, seed=10 * seed + i))
+
+            sys.setswitchinterval(1e-5)
+            workers = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+            print(sum(w.is_alive() for w in workers), *[set_threads(2) for set_threads in setters])
+        """)
+        after_one, after_overlap = _run_script(script, "2").splitlines()
+        if not after_one:
+            pytest.skip("numpy and scipy bundle no OpenBLAS here")
+        assert after_one.split() == ["2"] * len(after_one.split())
+        assert after_overlap.split() == ["0"] + after_one.split()
+
+    def test_learner_runs_without_openblas(self):
+        # with no OpenBLAS copy found the switch does nothing, and at one
+        # thread the outputs are the switched run's
+        script = textwrap.dedent("""
+            import hashlib
+            import numpy as np
+            import simplexi.learner as learner
+            from simplexi import LearnerConfig, gen_bernoulli, learn_simplex
+            A = gen_bernoulli(1000, 50000, 1 / 2000, 4)
+            for found in (True, False):
+                if not found:
+                    learner._openblas_thread_setters = lambda: ()
+                est = learn_simplex(A, LearnerConfig(k=50, delta=0.01, seed=3))
+                h = hashlib.sha256()
+                for a in (est.vertices, est.directions, *est.index_sets):
+                    h.update(np.ascontiguousarray(a).tobytes())
+                print(h.hexdigest())
+        """)
+        switched, plain = _run_script(script, "1").split()
+        assert switched == plain
+
+
+def _learner_cpu_and_wall(d: int, n: int, p: float, k: int, delta: float):
+    """CPU and wall seconds of 20 ``learn_simplex`` calls on
+    ``gen_bernoulli(d, n, p, 4)`` with OPENBLAS_NUM_THREADS=2."""
+    script = textwrap.dedent(f"""
+        import time
+        from simplexi import LearnerConfig, gen_bernoulli, learn_simplex
+        A = gen_bernoulli({d}, {n}, {p!r}, 4)
+        learn_simplex(A, LearnerConfig(k={k}, delta={delta!r}, seed=0))
+        time.sleep(0.3)  # a worker the generator woke goes idle
+        wall, cpu = time.perf_counter(), time.process_time()
+        for seed in range(20):
+            learn_simplex(A, LearnerConfig(k={k}, delta={delta!r}, seed=seed))
+        print(time.process_time() - cpu, time.perf_counter() - wall)
+    """)
+    return map(float, _run_script(script, "2").split())
 
 
 def _run_script(script: str, threads: str) -> str:
